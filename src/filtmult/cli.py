@@ -6,9 +6,7 @@ Usage:
 
 Exit codes: 0 success, 1 engine error, 2 validation error, 3 property-suite
 failure.  With ``--format json`` the output is deterministic byte-for-byte
-for a fixed input and seed.  The environment variable FILTMULT_THREADS caps
-suite parallelism (0 or 1 = serial); instance order in reports is by index,
-never by completion time.
+for a fixed input and seed.
 """
 
 from __future__ import annotations
@@ -16,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import FiltmultError, SpecValidationError
 from .filtrations import Filtration, filtration_from_json
@@ -81,14 +77,6 @@ def _filtration_list(spec: dict) -> list[Filtration]:
     if "filtrations" not in spec:
         raise SpecValidationError("problem needs a 'filtrations' list")
     return [filtration_from_json(f) for f in spec["filtrations"]]
-
-
-def _map_fn():
-    threads = int(os.environ.get("FILTMULT_THREADS", "0") or "0")
-    if threads > 1:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        return lambda fn, items: list(pool.map(fn, items))
-    return map
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +150,6 @@ def _task_minkowski(spec, args):
         seed=args.seed,
         max_exp_d2=int(suite_spec.get("max_exp_d2", 5)),
         max_exp_d3=int(suite_spec.get("max_exp_d3", 4)),
-        map_fn=_map_fn(),
     )
     return result.to_json(), result.passed
 
@@ -183,7 +170,6 @@ def _task_integrality(spec, args):
         count=int(suite_spec.get("count", 20)),
         seed=args.seed,
         max_exp=int(suite_spec.get("max_exp", 6)),
-        map_fn=_map_fn(),
     )
     return result.to_json(), result.passed
 

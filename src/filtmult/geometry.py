@@ -3,8 +3,10 @@
 Everything here works over integers / ``Fraction``; there is no floating
 point anywhere on a decision path.  The polyhedra that occur are Newton
 polyhedra ``conv(G) + R^d_{>=0}`` of monomial ideals and convex hulls of
-semigroup fibers, so point counts are small and brute-force exact algorithms
-are adequate.
+semigroup fibers.  Newton polyhedra are described by their supporting
+planes through generators, and their covolumes are sums of origin cones
+over compact facets, so no vertex enumeration is needed; only the hulls of
+small fiber point clouds use a brute-force facet scan.
 """
 
 from __future__ import annotations
@@ -18,8 +20,23 @@ from .errors import DimensionUnsupported
 Point = tuple  # tuple of int or Fraction coordinates
 
 
-def minimal_points(points) -> list:
-    """Antichain of componentwise-minimal elements."""
+def minimal_elements(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Antichain of componentwise-minimal elements of a point set.
+
+    Dimension two has an O(n log n) sweep (sort by x, keep strictly falling
+    y); other dimensions use the quadratic scan over a degree-sorted list.
+    """
+    first = next(iter(points), ())
+    if len(first) == 1:
+        return [min(points)]
+    if len(first) == 2:
+        best = None
+        kept2: list = []
+        for x, y in sorted(set(points)):
+            if best is None or y < best:
+                kept2.append((x, y))
+                best = y
+        return kept2
     ordered = sorted(set(points), key=lambda p: (sum(p), p))
     kept: list = []
     for p in ordered:
@@ -42,7 +59,7 @@ def lower_left_chain(points: list[Point]) -> list[Point]:
     The input is reduced to an antichain first; the chain is returned sorted
     by increasing first coordinate (second coordinate strictly decreasing).
     """
-    pts = minimal_points(points)
+    pts = minimal_elements(points)
     chain: list[Point] = []
     for p in pts:
         while len(chain) >= 2 and _cross2(chain[-2], chain[-1], p) <= 0:
@@ -112,17 +129,46 @@ def _cross3(u, v):
     )
 
 
+def _plane_through(a, b, c):
+    """Normal of the plane through three 3D points, or (0, 0, 0) if collinear.
+
+    The sign is flipped so a normal with no positive component comes out
+    nonnegative.
+    """
+    normal = _cross3(
+        (b[0] - a[0], b[1] - a[1], b[2] - a[2]),
+        (c[0] - a[0], c[1] - a[1], c[2] - a[2]),
+    )
+    if all(v <= 0 for v in normal):
+        return (-normal[0], -normal[1], -normal[2])
+    return normal
+
+
+def _supports(normal, offset: int, pts) -> bool:
+    """True when ``<normal, g> >= offset`` for every point g.
+
+    For an ``offset`` attained at one of the points, this says the plane
+    ``<normal, y> = offset`` supports ``conv(pts)`` there; with a
+    nonnegative normal it also supports ``conv(pts) + orthant``.
+    """
+    n0, n1, n2 = normal
+    return all(n0 * g[0] + n1 * g[1] + n2 * g[2] >= offset for g in pts)
+
+
 def newton_inequalities(gens: list[tuple[int, ...]], dim: int) -> list[tuple[tuple[int, ...], int]]:
     """Complete list of valid inequalities for ``conv(gens) + orthant``.
 
-    The family contains every bounded facet (facets are spanned by generators
-    and coordinate rays) plus the per-axis bounds ``y_i >= min g_i``.
-    Redundant members are harmless for membership tests.  Supported for
-    dim <= 3.
+    The family contains every facet not implied by ``y >= 0`` plus the
+    per-axis bounds ``y_i >= min g_i``.  In d = 3 the facets are spanned by
+    three generators, or by two generators and a coordinate ray; such a
+    plane is kept only when it supports the polyhedron at its own
+    generators, so every member is tight at some generator.  Planes that
+    support the polyhedron only along an edge may remain; they are
+    redundant but harmless for membership tests.  Supported for dim <= 3.
     """
     if dim > 3:
         raise DimensionUnsupported(f"Newton facets are only computed for d <= 3, got d = {dim}")
-    pts = minimal_points(gens)
+    pts = minimal_elements(gens)
     ineqs: set[tuple[tuple[int, ...], int]] = set()
     for i in range(dim):
         low = min(g[i] for g in pts)
@@ -141,29 +187,21 @@ def newton_inequalities(gens: list[tuple[int, ...]], dim: int) -> list[tuple[tup
             ineqs.add(_normalize_ineq(normal, offset))
         return sorted(ineqs)
 
-    # dim == 3: planes spanned by three generators, or two generators and a
-    # coordinate ray.  Keep only orthant-compatible normals, with the offset
-    # taken as the minimum over all generators so every inequality is valid.
-    def consider(normal):
-        if normal == (0, 0, 0):
+    # dim == 3: keep orthant-compatible normals of planes that are tight at
+    # the points spanning them and valid for every generator.
+    def consider(normal, a):
+        if normal == (0, 0, 0) or any(v < 0 for v in normal):
             return
-        if all(v <= 0 for v in normal):
-            normal = tuple(-v for v in normal)
-        if any(v < 0 for v in normal):
-            return
-        offset = min(normal[0] * g[0] + normal[1] * g[1] + normal[2] * g[2] for g in pts)
-        if offset > 0:
+        offset = normal[0] * a[0] + normal[1] * a[1] + normal[2] * a[2]
+        if offset > 0 and _supports(normal, offset, pts):
             ineqs.add(_normalize_ineq(normal, offset))
 
     for a, b, c in itertools.combinations(pts, 3):
-        u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-        v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-        consider(_cross3(u, v))
-    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        consider(_plane_through(a, b, c), a)
     for a, b in itertools.combinations(pts, 2):
-        u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-        for e in axes:
-            consider(_cross3(u, e))
+        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            # the plane through a and b that contains the ray from a along e
+            consider(_plane_through(a, b, (a[0] + e[0], a[1] + e[1], a[2] + e[2])), a)
     return sorted(ineqs)
 
 
@@ -175,68 +213,7 @@ def satisfies_inequalities(point, ineqs) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Vertex enumeration and exact 3D volumes
-
-
-def _solve3_int(rows, rhs):
-    """Cramer solve of a 3x3 integer system; None if singular."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if det == 0:
-        return None
-    r0, r1, r2 = rhs
-    dx = r0 * (e * i - f * h) - b * (r1 * i - f * r2) + c * (r1 * h - e * r2)
-    dy = a * (r1 * i - f * r2) - r0 * (d * i - f * g) + c * (d * r2 - r1 * g)
-    dz = a * (e * r2 - r1 * h) - b * (d * r2 - r1 * g) + r0 * (d * h - e * g)
-    return (Fraction(dx, det), Fraction(dy, det), Fraction(dz, det))
-
-
-def _dedupe_ineqs(ineqs):
-    """Canonical inequalities; for equal normals only the tightest survives."""
-    best: dict[tuple[int, ...], int] = {}
-    for normal, offset in ineqs:
-        normal, offset = _normalize_ineq(tuple(normal), offset)
-        if normal not in best or best[normal] < offset:
-            best[normal] = offset
-    return sorted(best.items())
-
-
-def _vertices_homogeneous_3d(ineqs) -> list[tuple[int, int, int, int]]:
-    """Vertices as gcd-reduced integer quadruples (x, y, z, w), w > 0,
-    meaning the point (x/w, y/w, z/w).  Pure integer arithmetic."""
-    verts: set[tuple[int, int, int, int]] = set()
-    rows = [q[0] for q in ineqs]
-    offs = [q[1] for q in ineqs]
-    n = len(ineqs)
-    for i, j, k in itertools.combinations(range(n), 3):
-        (a, b, c), (d, e, f), (g, h, l) = rows[i], rows[j], rows[k]
-        det = a * (e * l - f * h) - b * (d * l - f * g) + c * (d * h - e * g)
-        if det == 0:
-            continue
-        r0, r1, r2 = offs[i], offs[j], offs[k]
-        dx = r0 * (e * l - f * h) - b * (r1 * l - f * r2) + c * (r1 * h - e * r2)
-        dy = a * (r1 * l - f * r2) - r0 * (d * l - f * g) + c * (d * r2 - r1 * g)
-        dz = a * (e * r2 - r1 * h) - b * (d * r2 - r1 * g) + r0 * (d * h - e * g)
-        if det < 0:
-            det, dx, dy, dz = -det, -dx, -dy, -dz
-        ok = True
-        for r, off in zip(rows, offs):
-            if r[0] * dx + r[1] * dy + r[2] * dz < off * det:
-                ok = False
-                break
-        if ok:
-            g0 = gcd(gcd(abs(dx), abs(dy)), gcd(abs(dz), det))
-            verts.add((dx // g0, dy // g0, dz // g0, det // g0))
-    return sorted(verts)
-
-
-def enumerate_vertices_3d(ineqs: list[tuple[tuple[int, ...], int]]) -> list[Point]:
-    """Vertices of ``{y : <n,y> >= b for all (n,b)}`` (bounded inputs only)."""
-    ineqs = _dedupe_ineqs(ineqs)
-    return sorted(
-        (Fraction(x, w), Fraction(y, w), Fraction(z, w))
-        for x, y, z, w in _vertices_homogeneous_3d(ineqs)
-    )
+# Exact 3D hull volumes
 
 
 def _ordered_face_cycle(face: list[Point]) -> list[Point]:
@@ -296,25 +273,6 @@ def _volume_from_faces(verts: list[Point], faces: list[list[Point]]) -> Fraction
             )
             volume += abs(det)
     return volume / 6
-
-
-def polytope_volume_hrep(ineqs: list[tuple[tuple[int, ...], int]]) -> Fraction:
-    """Exact volume of a bounded ``{y : <n,y> >= b}`` polytope in 3D."""
-    ineqs = _dedupe_ineqs(ineqs)
-    homogeneous = _vertices_homogeneous_3d(ineqs)
-    as_fractions = {
-        q: (Fraction(q[0], q[3]), Fraction(q[1], q[3]), Fraction(q[2], q[3]))
-        for q in homogeneous
-    }
-    faces = []
-    for normal, offset in ineqs:
-        tight = [
-            as_fractions[q]
-            for q in homogeneous
-            if normal[0] * q[0] + normal[1] * q[1] + normal[2] * q[2] == offset * q[3]
-        ]
-        faces.append(tight)
-    return _volume_from_faces(list(as_fractions.values()), faces)
 
 
 def hull_volume_3d(points: list[Point]) -> Fraction:
@@ -378,15 +336,54 @@ def hull_volume(points: list[Point], dim: int) -> Fraction:
 # Covolume: volume of (orthant \ Newton polyhedron)
 
 
+def _covolume_3d(pts: list[tuple[int, int, int]]) -> Fraction:
+    """Sum of the origin cones over the compact facets of ``conv(pts) + orthant``."""
+    total = Fraction(0)
+    seen: set = set()
+    for a, b, c in itertools.combinations(pts, 3):
+        normal = _plane_through(a, b, c)
+        if normal[0] <= 0 or normal[1] <= 0 or normal[2] <= 0:
+            continue
+        offset = normal[0] * a[0] + normal[1] * a[1] + normal[2] * a[2]
+        normal, offset = _normalize_ineq(normal, offset)
+        if (normal, offset) in seen:
+            continue
+        seen.add((normal, offset))
+        if not _supports(normal, offset, pts):
+            continue
+        n0, n1, n2 = normal
+        tight = [(g[0], g[1]) for g in pts if n0 * g[0] + n1 * g[1] + n2 * g[2] == offset]
+        hull = convex_hull_2d(tight)
+        twice_area = sum(_cross2(hull[0], p, q) for p, q in zip(hull[1:], hull[2:]))
+        total += Fraction(offset * twice_area, 6 * n2)
+    return total
+
+
 def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
     """Exact volume of the orthant complement of ``conv(gens) + orthant``.
 
     Requires a generator set whose complement is bounded (a pure power on
     every axis); ``gens`` need not be minimal.
+
+    In d = 3 the covolume is a sum of cones with apex at the origin.  Every
+    ray from the origin into the orthant leaves the complement through a
+    facet ``<n, y> = b`` of the Newton polyhedron with ``b > 0``.  Because
+    the ideal is m-primary, a facet whose normal has a zero component
+    contains the pure power on that axis, so its ``b`` is 0.  Hence only the
+    compact facets, whose normals are strictly positive, bound the
+    complement, and
+
+        covol = sum over compact facets F of  b_F * T_F / (6 * n_z),
+
+    where ``T_F`` is twice the area of F projected to the (x, y) plane
+    (Kouchnirenko, "Polyedres de Newton et nombres de Milnor", Invent.
+    Math. 32, 1976).  Each compact facet is spanned by three minimal
+    generators, so it is found among generator triples whose plane has a
+    positive normal and supports the polyhedron at the triple.
     """
     if dim > 3:
         raise DimensionUnsupported(f"covolume needs d <= 3, got d = {dim}")
-    pts = minimal_points(gens)
+    pts = minimal_elements(gens)
     caps = []
     for i in range(dim):
         pures = [g[i] for g in pts if all(g[j] == 0 for j in range(dim) if j != i)]
@@ -400,10 +397,4 @@ def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
     if dim == 2:
         polygon = [(0, 0)] + lower_left_chain(pts)
         return polygon_area(polygon)
-    box = Fraction(caps[0]) * caps[1] * caps[2]
-    ineqs = list(newton_inequalities(pts, 3))
-    for i in range(3):
-        e = tuple(int(i == j) for j in range(3))
-        ineqs.append((e, 0))
-        ineqs.append((tuple(-v for v in e), -caps[i]))
-    return box - polytope_volume_hrep(ineqs)
+    return _covolume_3d(pts)

@@ -9,28 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def determinant(matrix: list[list[Fraction]]) -> Fraction:
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    return det
-
-
 def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Solve ``matrix @ x = rhs`` exactly; return None if singular."""
     n = len(matrix)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry
+from .geometry import minimal_elements
 from .errors import BudgetExceeded, DimensionMismatch, DimensionUnsupported, NotMPrimary
 
 Exponent = tuple[int, ...]
@@ -128,31 +129,6 @@ def _check_same_dim(a: MonomialIdeal, b: MonomialIdeal) -> None:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def minimal_elements(points: list[Exponent]) -> list[Exponent]:
-    """Antichain of componentwise-minimal elements of a point set.
-
-    Dimension two has an O(n log n) sweep (sort by x, keep strictly falling
-    y); other dimensions use the quadratic scan over a degree-sorted list.
-    """
-    first = next(iter(points))
-    if len(first) == 1:
-        return [min(points)]
-    if len(first) == 2:
-        best = None
-        kept2: list[Exponent] = []
-        for x, y in sorted(set(points)):
-            if best is None or y < best:
-                kept2.append((x, y))
-                best = y
-        return kept2
-    ordered = sorted(set(points), key=lambda p: (sum(p), p))
-    kept: list[Exponent] = []
-    for p in ordered:
-        if not any(dominates(p, q) for q in kept):
-            kept.append(p)
-    return sorted(kept)
-
-
 def minimalize(raw_gens, dim: int) -> MonomialIdeal:
     """Build the ideal generated by ``raw_gens``, reduced to minimal generators."""
     pts = [tuple(g) for g in raw_gens]
@@ -258,9 +234,10 @@ class NewtonRegion:
     """The polyhedron conv(gens) + orthant, with a facet description for d <= 3.
 
     ``vertices`` (the extreme generators) determine the region uniquely, so
-    equality and hashing use them.  ``inequalities`` is a complete valid
-    family (possibly with redundant members) of the form <n, y> >= b; it is
-    None when dim > 3.
+    equality and hashing use them.  ``inequalities`` is a complete family of
+    the form <n, y> >= b in which every member supports the region at some
+    generator (see ``geometry.newton_inequalities``; members that are not
+    facets may remain); it is None when dim > 3.
     """
 
     dim: int

@@ -557,7 +557,6 @@ def minkowski_suite(
     seed: int = 0,
     max_exp_d2: int = 5,
     max_exp_d3: int = 4,
-    map_fn=map,
 ) -> SuiteResult:
     """Random power-filtration pairs; every inequality must hold exactly."""
     jobs = []
@@ -579,12 +578,12 @@ def minkowski_suite(
             "slacks": [r.slack for r in report.records],
         }
 
-    instances = tuple(map_fn(run, jobs))
+    instances = tuple(map(run, jobs))
     return SuiteResult("minkowski", instances, all(r["pass"] for r in instances))
 
 
 def integrality_suite(
-    count: int = 20, seed: int = 0, max_exp: int = 6, map_fn=map
+    count: int = 20, seed: int = 0, max_exp: int = 6
 ) -> SuiteResult:
     """Random m-primary ideals: the closure has the same multiplicity."""
     jobs = []
@@ -604,5 +603,5 @@ def integrality_suite(
             "slacks": [r.slack for r in report.records],
         }
 
-    instances = tuple(map_fn(run, jobs))
+    instances = tuple(map(run, jobs))
     return SuiteResult("integrality", instances, all(r["pass"] for r in instances))

@@ -199,15 +199,6 @@ def test_json_reports_are_deterministic(tmp_path, capsys):
     assert payload3["seed"] == 5
 
 
-def test_suite_deterministic_under_threads(tmp_path, capsys, monkeypatch):
-    spec_path = write(tmp_path, "p.json", {"suite": {"count_d2": 4, "count_d3": 0}})
-    monkeypatch.setenv("FILTMULT_THREADS", "0")
-    _, serial = run_cli(capsys, ["minkowski", "--input", spec_path])
-    monkeypatch.setenv("FILTMULT_THREADS", "4")
-    _, threaded = run_cli(capsys, ["minkowski", "--input", spec_path])
-    assert serial == threaded
-
-
 def test_output_file_and_text_format(tmp_path, capsys):
     spec_path = write(tmp_path, "p.json", BHATTACHARYA)
     out_path = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ from filtmult.geometry import (
     hull_volume,
     hull_volume_3d,
     lower_left_chain,
+    minimal_elements,
     newton_inequalities,
-    polytope_volume_hrep,
     satisfies_inequalities,
 )
 
@@ -48,16 +49,53 @@ def test_hull_volume_3d_degenerate():
     assert hull_volume_3d(coplanar) == 0
 
 
-def test_hrep_volume_matches_hull_volume():
-    # box [0,2]^3 cut by x+y+z >= 2
-    ineqs = []
-    for i in range(3):
-        e = tuple(int(i == j) for j in range(3))
-        ineqs.append((e, 0))
-        ineqs.append((tuple(-v for v in e), -2))
-    ineqs.append(((1, 1, 1), 2))
-    vol = polytope_volume_hrep(ineqs)
-    assert vol == 8 - Fraction(8, 6)
+def _covolume_oracle(gens):
+    """Box volume minus the hull of the generators pushed out to the caps.
+
+    ``(conv G + R^3_+) & [0, caps] = conv{g with any subset of coordinates
+    set to its cap}`` for minimal G, so this needs only ``hull_volume_3d``.
+    """
+    pts = minimal_elements(gens)
+    caps = [min(g[i] for g in pts if all(g[j] == 0 for j in range(3) if j != i)) for i in range(3)]
+    lifted = {
+        tuple(c if up else x for x, c, up in zip(g, caps, mask))
+        for g in pts
+        for mask in itertools.product((False, True), repeat=3)
+    }
+    return caps[0] * caps[1] * caps[2] - hull_volume_3d(list(lifted))
+
+
+def _random_primary_3d(rng, max_exp, extra):
+    gens = [tuple(rng.randint(1, max_exp) if i == j else 0 for j in range(3)) for i in range(3)]
+    return gens + [tuple(rng.randint(0, max_exp) for _ in range(3)) for _ in range(extra)]
+
+
+def test_covolume_3d_matches_hull_oracle():
+    rng = random.Random(11)
+    for _ in range(10):
+        gens = _random_primary_3d(rng, 6, rng.randint(0, 3))
+        assert covolume_from_gens(gens, 3) == _covolume_oracle(gens)
+    # raw Minkowski-sum candidate sets: non-minimal, with interior points
+    for _ in range(4):
+        left = _random_primary_3d(rng, 3, 1)
+        right = _random_primary_3d(rng, 2, 1)
+        sums = [tuple(x + y for x, y in zip(g, h)) for g in left for h in right]
+        assert len(minimal_elements(sums)) < len(sums)
+        assert covolume_from_gens(sums, 3) == _covolume_oracle(sums)
+
+
+def test_covolume_3d_interior_generators_and_unit():
+    # (1,1,1) is a minimal generator strictly inside the Newton polyhedron
+    # of (x^2, y^2, z^2), so the region is the simplex-complement alone
+    assert covolume_from_gens([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)], 3) == Fraction(8, 6)
+    gens = [(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 1), (1, 2, 2), (2, 1, 2)]
+    assert covolume_from_gens(gens, 3) == _covolume_oracle(gens)
+    assert covolume_from_gens([(0, 0, 0), (1, 0, 0), (0, 2, 3)], 3) == 0
+
+
+def test_covolume_3d_hilbert_samuel_docstring_ideal():
+    # (z^3, y^5, x y^2 z, x^4): e = 59, where finite differences plateau at 58
+    assert 6 * covolume_from_gens([(0, 0, 3), (0, 5, 0), (1, 2, 1), (4, 0, 0)], 3) == 59
 
 
 def test_newton_inequalities_complete_for_membership():
@@ -67,6 +105,9 @@ def test_newton_inequalities_complete_for_membership():
                 (0, 0, rng.randint(1, 5))]
         gens += [tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(2)]
         ineqs = newton_inequalities(gens, 3)
+        # every member supports the region: tight at some generator
+        for normal, offset in ineqs:
+            assert min(sum(n * x for n, x in zip(normal, g)) for g in gens) == offset
         # every generator plus orthant shifts stays inside
         for g in gens:
             assert satisfies_inequalities(g, ineqs)
