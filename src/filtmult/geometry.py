@@ -21,18 +21,27 @@ Point = tuple  # tuple of int or Fraction coordinates
 
 
 def minimal_elements(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Antichain of componentwise-minimal elements of a point set.
+    """Sorted antichain of the componentwise-minimal elements of a point set.
 
-    Dimension two has an O(n log n) sweep (sort by x, keep strictly falling
-    y); other dimensions use the quadratic scan over a degree-sorted list.
+    Duplicates collapse, so the result is as long as the input exactly when
+    the input is already a duplicate-free antichain.  Dimension two keeps
+    the lowest y per x in one pass, then sweeps the sorted distinct x values
+    keeping strictly falling y: O(n + k log k) for k distinct x values.
+    Other dimensions use the quadratic scan over a degree-sorted list.
     """
     first = next(iter(points), ())
     if len(first) == 1:
         return [min(points)]
     if len(first) == 2:
+        lowest: dict = {}
+        for x, y in points:
+            old = lowest.get(x)
+            if old is None or y < old:
+                lowest[x] = y
         best = None
         kept2: list = []
-        for x, y in sorted(set(points)):
+        for x in sorted(lowest):
+            y = lowest[x]
             if best is None or y < best:
                 kept2.append((x, y))
                 best = y

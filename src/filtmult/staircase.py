@@ -10,12 +10,15 @@ the zero ideal is not representable.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry
 from .geometry import minimal_elements
-from .errors import BudgetExceeded, DimensionMismatch, DimensionUnsupported, NotMPrimary
+from .errors import (BudgetExceeded, DimensionMismatch, DimensionUnsupported, NotMPrimary,
+                     SpecValidationError)
 
 Exponent = tuple[int, ...]
 
@@ -27,7 +30,11 @@ def dominates(a: Exponent, b: Exponent) -> bool:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal given by its minimal generators (an antichain)."""
+    """A monomial ideal given by its minimal generators (an antichain).
+
+    Every construction is fully checked.  The generators form an antichain
+    without duplicates exactly when ``minimal_elements`` keeps all of them.
+    """
 
     dim: int
     gens: tuple[Exponent, ...]
@@ -44,11 +51,10 @@ class MonomialIdeal:
                 raise DimensionMismatch(
                     f"exponent {g} has length {len(g)}, expected {self.dim}"
                 )
-            if any(e < 0 for e in g):
+            if min(g) < 0:
                 raise ValueError(f"negative exponent in {g}")
-        for a, b in itertools.combinations(canonical, 2):
-            if dominates(a, b) or dominates(b, a):
-                raise ValueError("generators are not an antichain; use minimalize()")
+        if len(minimal_elements(canonical)) != len(canonical):
+            raise ValueError("generators are not an antichain; use minimalize()")
 
     # -- basic structure ----------------------------------------------------
 
@@ -72,19 +78,14 @@ class MonomialIdeal:
         return best
 
     def is_m_primary(self) -> bool:
-        if self.is_unit:
-            return True
         return all(self.pure_power(i) is not None for i in range(self.dim))
 
     def box(self) -> tuple[int, ...]:
         """Per-axis staircase bounds c_i (minimal pure-power exponents)."""
-        caps = []
-        for i in range(self.dim):
-            c = self.pure_power(i)
-            if c is None:
-                raise NotMPrimary(f"no pure power on axis {i}; complement is infinite")
-            caps.append(c)
-        return tuple(caps)
+        caps = tuple(self.pure_power(i) for i in range(self.dim))
+        if None in caps:
+            raise NotMPrimary(f"no pure power on axis {caps.index(None)}; complement is infinite")
+        return caps
 
     def leq(self, other: "MonomialIdeal") -> bool:
         """Ideal containment self <= other (every generator of self in other)."""
@@ -109,7 +110,10 @@ class MonomialIdeal:
 
     @staticmethod
     def from_json(data: dict) -> "MonomialIdeal":
-        return minimalize([tuple(int(e) for e in g) for g in data["gens"]], int(data["dim"]))
+        gens = [tuple(g) for g in data["gens"]]
+        if not all(type(v) is int for v in itertools.chain([data["dim"]], *gens)):  # not bool
+            raise SpecValidationError("ideal dim and exponents must be integers")
+        return minimalize(gens, data["dim"])
 
     def __repr__(self) -> str:
         return f"MonomialIdeal(d={self.dim}, gens={list(self.gens)})"
@@ -142,8 +146,8 @@ def minimalize(raw_gens, dim: int) -> MonomialIdeal:
 
 def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     _check_same_dim(I, J)
-    sums = {tuple(a + b for a, b in zip(g, h)) for g in I.gens for h in J.gens}
-    return minimalize(list(sums), I.dim)
+    sums = [tuple(map(operator.add, g, h)) for g in I.gens for h in J.gens]
+    return MonomialIdeal(I.dim, tuple(minimal_elements(sums)))
 
 
 def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -178,11 +182,12 @@ def is_m_primary(I: MonomialIdeal) -> bool:
 
 
 def colength(I: MonomialIdeal) -> int:
-    """Number of monomials not in I, by slab recursion over the staircase.
+    """Number of monomials not in I, in time governed by the generator count.
 
-    The complement is sliced along the last axis; slices only change at
-    generator exponents, so the cost is governed by the number of generators
-    rather than the staircase volume.
+    In dimension two the complement is a union of columns under the sorted
+    antichain, so the count is ``sum (x_{i+1} - x_i) * y_i``.  For d >= 3 it
+    is sliced along the last axis; slices only change at generator
+    exponents, and each slice recurses down to the 2D sum.
     """
     if not I.is_m_primary():
         raise NotMPrimary(f"{I!r} is not m-primary")
@@ -194,6 +199,8 @@ def colength(I: MonomialIdeal) -> int:
 def _colength_rec(gens: list[Exponent], dim: int) -> int:
     if dim == 1:
         return min(g[0] for g in gens)
+    if dim == 2:
+        return sum((b[0] - a[0]) * a[1] for a, b in itertools.pairwise(gens))
     cap = min(g[-1] for g in gens if all(e == 0 for e in g[:-1]))
     levels = sorted({g[-1] for g in gens if g[-1] < cap})
     total = 0
@@ -210,19 +217,12 @@ def colength_bruteforce(I: MonomialIdeal, budget: int = 10**8) -> int:
     """Reference implementation: scan the staircase box point by point."""
     if not I.is_m_primary():
         raise NotMPrimary(f"{I!r} is not m-primary")
-    if I.is_unit:
-        return 0
     caps = I.box()
-    volume = 1
-    for c in caps:
-        volume *= max(c, 1)
+    volume = math.prod(max(c, 1) for c in caps)
     if volume > budget:
         raise BudgetExceeded(f"staircase box has {volume} points, budget is {budget}")
-    count = 0
-    for point in itertools.product(*(range(c) for c in caps)):
-        if not any(dominates(point, g) for g in I.gens):
-            count += 1
-    return count
+    points = itertools.product(*(range(c) for c in caps))
+    return sum(1 for p in points if not any(dominates(p, g) for g in I.gens))
 
 
 # ---------------------------------------------------------------------------

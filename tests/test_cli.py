@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import jsonschema
 
 from filtmult.cli import main
+from filtmult.staircase import minimalize, power
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 INPUT_SCHEMA = json.loads((DOCS / "input_schema.json").read_text())
@@ -208,3 +210,44 @@ def test_output_file_and_text_format(tmp_path, capsys):
     code, out = run_cli(capsys, ["mixed", "--input", spec_path, "--format", "text"])
     assert code == 0
     assert "entries" in out
+
+
+def test_exit_code_2_on_non_integer_exponents(tmp_path, capsys):
+    bad_gens = {"ideal": {"dim": 2, "gens": [[1.7, 0], [0, 2]]}}
+    bad_dim = {"filtrations": [{"kind": "power", "ideal": {"dim": 2.9, "gens": [[1, 0], [0, 2]]}}]}
+    for task, spec in (("colength", bad_gens), ("mixed", bad_dim)):
+        path = tmp_path / f"{task}.json"
+        path.write_text(json.dumps(spec))
+        code, out = run_cli(capsys, [task, "--input", str(path)])
+        assert code == 2
+        assert check_report(out)["error"]["code"] == "SpecValidationError"
+
+
+# Reports recorded before the d=2 staircase kernels (antichain check, product,
+# closed-form colength) were rewritten; numeric-path reports must not move.
+PINNED_MIXED_NUMERIC_64 = (
+    '{"report":{"d":2,"entries":[{"exact":false,"type":[2,0],"value":2.0078125},'
+    '{"exact":false,"type":[1,1],"value":0.9951171875},'
+    '{"exact":false,"type":[0,2],"value":3.021484375}],'
+    '"points":[[4,4],[1,3],[5,4]],"r":2,"strategy":"numeric"},"seed":0,"task":"mixed"}\n'
+)
+PINNED_COLENGTH_POWER_40_SHA256 = (
+    "e8ada31ae6d236207f9a6843fb026445bdd884b14b76f086695761df61570d4b"
+)
+
+
+def test_numeric_mixed_report_bytes_pinned(tmp_path, capsys):
+    spec = dict(BHATTACHARYA, strategy={"kind": "numeric", "m_max": 64})
+    code, out = run_cli(capsys, ["mixed", "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    assert out == PINNED_MIXED_NUMERIC_64
+
+
+def test_colength_report_bytes_pinned(tmp_path, capsys):
+    ideal = power(minimalize([(3, 0), (1, 1), (0, 4)], 2), 40)
+    spec = {"ideal": ideal.to_json()}
+    code, out = run_cli(capsys, ["colength", "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    report = check_report(out)["report"]
+    assert report["colength"] == 5700 and len(report["ideal"]["gens"]) == 81
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_COLENGTH_POWER_40_SHA256

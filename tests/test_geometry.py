@@ -2,6 +2,9 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from filtmult.geometry import (
     convex_hull_2d,
     covolume_from_gens,
@@ -133,3 +136,29 @@ def test_hull_volume_dispatch():
 
 def test_convex_hull_2d_collinear():
     assert convex_hull_2d([(0, 0), (1, 1), (2, 2)]) == [(0, 0), (2, 2)]
+
+
+def brute_minimal(points):
+    """Distinct points with no other point of the set below them."""
+    pts = set(points)
+    return sorted(
+        p for p in pts if not any(q != p and all(a >= b for a, b in zip(p, q)) for q in pts)
+    )
+
+
+@st.composite
+def point_lists(draw, min_size=1):
+    d = draw(st.integers(1, 4))
+    coord = st.integers(0, 4)
+    return draw(st.lists(st.tuples(*[coord] * d), min_size=min_size, max_size=12))
+
+
+@given(point_lists(min_size=0))
+@settings(max_examples=300, deadline=None)
+def test_minimal_elements_matches_bruteforce(points):
+    assert minimal_elements(points) == brute_minimal(points)
+
+
+def test_minimal_elements_2d_repeated_x():
+    points = [(2, 5), (2, 1), (0, 7), (2, 3), (0, 7), (4, 1), (5, 0), (3, 1)]
+    assert minimal_elements(points) == [(0, 7), (2, 1), (5, 0)]

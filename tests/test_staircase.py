@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filtmult.errors import DimensionMismatch, NotMPrimary
+from filtmult.errors import DimensionMismatch, NotMPrimary, SpecValidationError
 from filtmult.staircase import (
     MonomialIdeal,
     colength,
@@ -70,6 +70,88 @@ def test_minimalize_rejects_bad_input():
         minimalize([(1, 2, 3)], 2)
     with pytest.raises(ValueError):
         MonomialIdeal(2, ((1, 0), (2, 0)))  # not an antichain
+
+
+def brute_minimal(points):
+    pts = set(points)
+    return tuple(sorted(
+        p for p in pts if not any(q != p and all(a >= b for a, b in zip(p, q)) for q in pts)
+    ))
+
+
+def brute_is_antichain(gens) -> bool:
+    """Pairwise oracle: no duplicate and no generator dividing another."""
+    return not any(
+        all(a >= b for a, b in zip(g, h)) or all(a <= b for a, b in zip(g, h))
+        for g, h in itertools.combinations(gens, 2)
+    )
+
+
+@st.composite
+def exponent_lists(draw, d=None, min_size=1, max_size=8, top=3):
+    d = draw(st.integers(1, 4)) if d is None else d
+    coord = st.integers(0, top)
+    return draw(st.lists(st.tuples(*[coord] * d), min_size=min_size, max_size=max_size))
+
+
+@given(
+    exponent_lists(min_size=3, max_size=12, top=5),
+    st.lists(st.integers(0, 11), max_size=2),
+    st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_construction_rejects_exactly_non_antichains(raw, extra, as_drawn):
+    # either the raw draw, or its minimal set (an antichain) plus up to two
+    # raw points again, each a duplicate of a generator or a multiple of one
+    gens = raw if as_drawn else list(brute_minimal(raw)) + [raw[i % len(raw)] for i in extra]
+    d = len(gens[0])
+    if brute_is_antichain(gens):
+        assert MonomialIdeal(d, tuple(gens)).gens == tuple(sorted(gens))
+    else:
+        with pytest.raises(ValueError, match="antichain"):
+            MonomialIdeal(d, tuple(gens))
+
+
+@pytest.mark.parametrize(
+    "gens, ok",
+    [
+        (((1, 3), (1, 2)), False),  # same x, one divides the other
+        (((1, 2), (1, 2)), False),  # duplicate
+        (((0, 3), (1, 2), (1, 0)), False),  # repeated x further along
+        (((0, 3), (1, 2), (2, 0)), True),
+        (((2,), (2,)), False),
+        (((1, 0, 2), (1, 0, 2)), False),
+    ],
+)
+def test_construction_repeated_coordinates(gens, ok):
+    if ok:
+        MonomialIdeal(len(gens[0]), gens)
+    else:
+        with pytest.raises(ValueError):
+            MonomialIdeal(len(gens[0]), gens)
+
+
+def test_construction_keeps_other_checks():
+    with pytest.raises(ValueError, match="negative"):
+        MonomialIdeal(2, ((-1, 2), (1, 0)))
+    with pytest.raises(ValueError, match="negative"):
+        minimalize([(3, 0), (-1, 5), (0, 1)], 2)
+    with pytest.raises(DimensionMismatch):
+        MonomialIdeal(2, ((1, 0), (0, 1, 0)))
+    with pytest.raises(DimensionMismatch):
+        MonomialIdeal(0, ((),))
+    with pytest.raises(ValueError):
+        MonomialIdeal(2, ())
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(exponent_lists(d), exponent_lists(d))))
+@settings(max_examples=200, deadline=None)
+def test_product_matches_bruteforce_and_commutes(pair):
+    raw_i, raw_j = pair
+    I, J = minimalize(raw_i, len(raw_i[0])), minimalize(raw_j, len(raw_j[0]))
+    sums = [tuple(a + b for a, b in zip(g, h)) for g in I.gens for h in J.gens]
+    assert product(I, J).gens == brute_minimal(sums)
+    assert product(I, J) == product(J, I)
 
 
 # -- product / sum / contains -------------------------------------------------
@@ -161,6 +243,17 @@ def test_colength_hypothesis_2d(extra, cx, cy):
     assert colength(ideal) == oracle_colength(ideal)
 
 
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    st.lists(st.tuples(*[st.integers(0, 6)] * 3), max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_colength_hypothesis_3d(caps, extra):
+    axes = [tuple(c if j == i else 0 for j in range(3)) for i, c in enumerate(caps)]
+    ideal = minimalize(axes + extra, 3)
+    assert colength(ideal) == colength_bruteforce(ideal)
+
+
 def test_colength_monotone_under_containment():
     rng = random.Random(7)
     for _ in range(40):
@@ -249,3 +342,20 @@ def test_integral_closure_non_primary():
 def test_json_round_trip():
     I = I2((3, 0), (1, 1), (0, 4))
     assert MonomialIdeal.from_json(I.to_json()) == I
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dim": 2, "gens": [[1.7, 0], [0, 2]]},
+        {"dim": 2.9, "gens": [[1, 0], [0, 2]]},
+        {"dim": 2, "gens": [[2.0, 0], [0, 2]]},
+        {"dim": 2, "gens": [["1", 0], [0, 2]]},
+        {"dim": "2", "gens": [[1, 0], [0, 2]]},
+        {"dim": 2, "gens": [[True, 0], [0, 2]]},
+        {"dim": True, "gens": [[1], [2]]},
+    ],
+)
+def test_from_json_rejects_non_integers(data):
+    with pytest.raises(SpecValidationError, match="integers"):
+        MonomialIdeal.from_json(data)
