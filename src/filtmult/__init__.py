@@ -21,6 +21,7 @@ from .filtrations import (
     Filtration,
     MonomialValuationFiltration,
     MultiFiltration,
+    PointwiseProductFiltration,
     PowerFiltration,
     ProductMultiFiltration,
     ShiftedPowerFiltration,
@@ -39,7 +40,6 @@ from .multiplicity import (
     LimitEstimate,
     MixedMultiplicityTable,
     NumericStrategy,
-    PointwiseProductFiltration,
     QuasiPolynomial,
     filtration_multiplicity,
     fit_quasi_polynomial,

@@ -17,7 +17,7 @@ import math
 import sys
 
 from .errors import FiltmultError, SpecValidationError
-from .filtrations import Filtration, filtration_from_json
+from .filtrations import CeilingNormMultiFiltration, Filtration, filtration_from_json
 from .multiplicity import (
     ExactStrategy,
     NumericStrategy,
@@ -31,7 +31,6 @@ from .okounkov import volume_limit_check
 from .staircase import MonomialIdeal, colength
 from .verifier import (
     STANDARD_WITNESS_POINTS,
-    CeilingNormMultiFiltration,
     integrality_check,
     integrality_suite,
     minkowski_report,
@@ -54,22 +53,31 @@ TASKS = (
 )
 
 
+def _strategy_int(data: dict, key: str, default: int, minimum: int) -> int:
+    value = data.get(key, default)
+    if type(value) is not int or value < minimum:
+        raise SpecValidationError(
+            f"strategy {key} must be an integer >= {minimum}, got {value!r}"
+        )
+    return value
+
+
 def _strategy_from_json(data, budget: int | None) -> Strategy:
     if data is None:
         return ExactStrategy()
     kind = data.get("kind")
     if kind == "exact":
         return ExactStrategy(
-            scale_bound=int(data.get("scale_bound", 24)),
-            scale_depth=int(data.get("scale_depth", 4)),
+            scale_bound=_strategy_int(data, "scale_bound", 24, 1),
+            scale_depth=_strategy_int(data, "scale_depth", 4, 2),
             multiplicity_method=data.get("multiplicity_method", "auto"),
-            hs_budget=int(data.get("hs_budget", 60)),
+            hs_budget=_strategy_int(data, "hs_budget", 60, 4),
         )
     if kind == "numeric":
-        m_max = int(data.get("m_max", 4096))
+        m_max = _strategy_int(data, "m_max", 4096, 2)
         if budget is not None:
             m_max = budget
-        return NumericStrategy(m_max=m_max, m0=int(data.get("m0", 1)))
+        return NumericStrategy(m_max=m_max, m0=_strategy_int(data, "m0", 1, 1))
     raise SpecValidationError(f"unknown strategy kind {data.get('kind')!r}")
 
 

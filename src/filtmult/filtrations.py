@@ -9,8 +9,10 @@ concurrent reads and fills are safe.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     ArityMismatch,
@@ -32,7 +34,11 @@ from .staircase import (
 
 
 class Filtration:
-    """Base class; subclasses provide ``_compute(n)`` for n >= 1."""
+    """Base class; subclasses provide ``_compute(n)`` for n >= 1.
+
+    Three hooks carry what each kind knows about its exact evaluation:
+    ``exact_core``, ``power_scale`` and ``newton_candidates``.
+    """
 
     kind = "abstract"
 
@@ -53,6 +59,23 @@ class Filtration:
 
     def _compute(self, n: int) -> MonomialIdeal:
         raise NotImplementedError
+
+    def exact_core(self) -> Filtration:
+        """A filtration with the same normalized colength limits that the
+        exact strategy can evaluate."""
+        return self
+
+    def power_scale(self, bound: int, depth: int) -> int | None:
+        """A scale a with I_{a*i} = I_a^i, or None when none is found.
+
+        By default this is the finite-depth ``detect_noetherian_scale``.
+        """
+        return detect_noetherian_scale(self, bound, depth)
+
+    def newton_candidates(self, k: int) -> list[tuple[int, ...]]:
+        """Points whose hull plus the orthant is the Newton region of I_k,
+        k >= 1; they need not generate I_k, so they only feed covolumes."""
+        return list(self.ideal_at(k).gens)
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -84,6 +107,13 @@ class PowerFiltration(Filtration):
             return product(self._cache[n - 1], self.ideal)
         return power(self.ideal, n)
 
+    def power_scale(self, bound: int, depth: int) -> int:
+        return 1
+
+    def newton_candidates(self, k: int) -> list[tuple[int, ...]]:
+        # the Newton region scales linearly, so I^k is never expanded
+        return [tuple(k * e for e in g) for g in self.ideal.gens]
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "ideal": self.ideal.to_json()}
 
@@ -107,6 +137,11 @@ class ShiftedPowerFiltration(Filtration):
 
     def _compute(self, n: int) -> MonomialIdeal:
         return power(self.ideal, n + self.shift)
+
+    def exact_core(self) -> Filtration:
+        # no power-stability scale (new generators appear in every degree),
+        # but the index shift is invisible in the limit
+        return PowerFiltration(self.ideal)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "ideal": self.ideal.to_json(), "shift": self.shift}
@@ -138,6 +173,10 @@ class DiagonalFiltration(Filtration):
     def _compute(self, n: int) -> MonomialIdeal:
         e = self.rates[0].ceil_times(n)
         return MonomialIdeal(1, ((e,),))
+
+    def power_scale(self, bound: int, depth: int) -> int | None:
+        rate = self.rates[0]
+        return rate.as_fraction().denominator if rate.is_rational else None
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "rates": [r.to_json() for r in self.rates]}
@@ -247,6 +286,25 @@ class TruncatedFiltration(Filtration):
         assert total is not None
         return total
 
+    def power_scale(self, bound: int, depth: int) -> int | None:
+        """For d = 1 the term at n is x^w(n), w the min-plus closure of the
+        base costs at parts <= a; any part size attaining the best density
+        cost(p)/p is a provably valid scale, since every partition costs at
+        least size * best-density.  Otherwise detection runs with its depth
+        boosted to reduce the risk of a spuriously small scale.
+        """
+        if self.dim == 1:
+            densities = [
+                Fraction(self.base.ideal_at(p).gens[0][0], p) for p in range(1, self.a + 1)
+            ]
+            return densities.index(min(densities)) + 1
+        for c in range(1, max(bound, self.a) + 1):
+            boosted = max(depth, -(-2 * self.a // c) + 1)
+            base = self.ideal_at(c)
+            if all(self.ideal_at(c * i) == power(base, i) for i in range(2, boosted + 1)):
+                return c
+        return None
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "base": self.base.to_json(), "a": self.a}
 
@@ -254,8 +312,57 @@ class TruncatedFiltration(Filtration):
         return f"truncate({self.base.describe()}, a={self.a})"
 
 
+class PointwiseProductFiltration(Filtration):
+    """The filtration n -> F(n) * G(n) of two filtrations of the same ring.
+
+    Used for the product side of the Minkowski root inequality; it is a bona
+    fide filtration (termwise products of descending multiplicative chains).
+    """
+
+    kind = "pointwise_product"
+
+    def __init__(self, left: Filtration, right: Filtration):
+        if left.dim != right.dim:
+            raise DimensionMismatch("pointwise product needs equal dimensions")
+        super().__init__(left.dim)
+        self.left = left
+        self.right = right
+
+    def _compute(self, n: int) -> MonomialIdeal:
+        return product(self.left.ideal_at(n), self.right.ideal_at(n))
+
+    def exact_core(self) -> Filtration:
+        return PointwiseProductFiltration(self.left.exact_core(), self.right.exact_core())
+
+    def power_scale(self, bound: int, depth: int) -> int | None:
+        s1 = self.left.power_scale(bound, depth)
+        s2 = self.right.power_scale(bound, depth)
+        return None if s1 is None or s2 is None else math.lcm(s1, s2)
+
+    def newton_candidates(self, k: int) -> list[tuple[int, ...]]:
+        left = self.left.newton_candidates(k)
+        right = self.right.newton_candidates(k)
+        return [tuple(x + y for x, y in zip(u, v)) for u in left for v in right]
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "factors": [self.left.to_json(), self.right.to_json()],
+        }
+
+    def describe(self) -> str:
+        return f"({self.left.describe()})*({self.right.describe()})"
+
+
 def truncate(base: Filtration, a: int) -> TruncatedFiltration:
     return TruncatedFiltration(base, a)
+
+
+def product_at(Fs, n) -> MonomialIdeal:
+    """I(1)_{n_1} * ... * I(r)_{n_r}; zero indices drop their factor and the
+    all-zero index gives the unit ideal."""
+    terms = [F.ideal_at(k) for F, k in zip(Fs, n) if k > 0]
+    return reduce(product, terms) if terms else unit_ideal(Fs[0].dim)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +421,7 @@ def detect_noetherian_scale(F: Filtration, bound: int, depth: int = 4) -> int | 
     This is evidence, not proof, of Noetherianity: a genuinely non-Noetherian
     filtration has no such a, but a spuriously small a can pass a finite
     depth check.  Callers that need sound exactness should verify more (see
-    multiplicity._resolve_scale).
+    ``Filtration.power_scale``).
     """
     for a in range(1, bound + 1):
         base = F.ideal_at(a)
@@ -380,11 +487,7 @@ class ProductMultiFiltration(MultiFiltration):
         self.factors = tuple(factors)
 
     def _compute(self, n: tuple[int, ...]) -> MonomialIdeal:
-        result = unit_ideal(self.dim)
-        for F, k in zip(self.factors, n):
-            if k:
-                result = product(result, F.ideal_at(k))
-        return result
+        return product_at(self.factors, n)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "factors": [F.to_json() for F in self.factors]}

@@ -26,21 +26,3 @@ def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] |
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return [a[r][n] for r in range(n)]
 
-
-def invert(matrix: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    """Exact inverse, or None if singular."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]

@@ -30,25 +30,20 @@ from .errors import (
     ExhaustedRetries,
     NotMPrimary,
     NotNoetherian,
+    SpecValidationError,
     TopCoefficientDrift,
 )
-from .filtrations import (
-    DiagonalFiltration,
-    Filtration,
-    PowerFiltration,
-    ShiftedPowerFiltration,
-    TruncatedFiltration,
-    detect_noetherian_scale,
-    truncate,
-)
+from .filtrations import Filtration, product_at, truncate
 from .geometry import covolume_from_gens
-from .staircase import MonomialIdeal, colength, covolume, newton_region, power, product, unit_ideal
+from .staircase import MonomialIdeal, colength, covolume, newton_region, product, unit_ideal
 
 Exponent = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
 # Strategies
+
+MULTIPLICITY_METHODS = ("auto", "covolume", "hilbert_samuel")
 
 
 @dataclass(frozen=True)
@@ -65,6 +60,12 @@ class ExactStrategy:
     hs_budget: int = 60
 
     tag = "exact_noetherian"
+
+    def __post_init__(self):
+        if self.multiplicity_method not in MULTIPLICITY_METHODS:
+            raise SpecValidationError(
+                f"unknown multiplicity method {self.multiplicity_method!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ def hilbert_samuel_multiplicity(I: MonomialIdeal, m_budget: int = 60) -> int:
     d = I.dim
     target: int | None = None
     if d <= 3:
-        certified = math.factorial(d) * covolume(newton_region(I))
+        certified = math.factorial(d) * covolume_from_gens(list(I.gens), d)
         if certified.denominator != 1:
             raise AssertionError(f"non-integer multiplicity certificate {certified}")
         target = int(certified)
@@ -164,7 +165,7 @@ def hilbert_samuel_multiplicity(I: MonomialIdeal, m_budget: int = 60) -> int:
 
 def ideal_multiplicity(I: MonomialIdeal, method: str = "auto", m_budget: int = 60) -> Fraction:
     """e(I) as an exact Fraction, choosing the engine by ``method``."""
-    if method not in ("auto", "covolume", "hilbert_samuel"):
+    if method not in MULTIPLICITY_METHODS:
         raise ValueError(f"unknown multiplicity method {method!r}")
     if I.is_unit:
         return Fraction(0)
@@ -174,136 +175,21 @@ def ideal_multiplicity(I: MonomialIdeal, method: str = "auto", m_budget: int = 6
 
 
 # ---------------------------------------------------------------------------
-# Structure-aware exact evaluation helpers
+# Exact multiplicity of a product of filtration terms
 
 
-def _exact_core(F: Filtration) -> Filtration:
-    """A filtration with the same normalized colength limits that the exact
-    strategy can handle.
-
-    Shifted powers {I^(n+s)} have no power-stability scale (new generators
-    appear in every degree), but the index shift is invisible in the limit,
-    so they are evaluated through their plain power core.
-    """
-    if isinstance(F, ShiftedPowerFiltration):
-        return PowerFiltration(F.ideal)
-    if isinstance(F, PointwiseProductFiltration):
-        return PointwiseProductFiltration(_exact_core(F.left), _exact_core(F.right))
-    return F
-
-
-class PointwiseProductFiltration(Filtration):
-    """The filtration n -> F(n) * G(n) of two filtrations of the same ring.
-
-    Used for the product side of the Minkowski root inequality; it is a bona
-    fide filtration (termwise products of descending multiplicative chains).
-    """
-
-    kind = "pointwise_product"
-
-    def __init__(self, left: Filtration, right: Filtration):
-        if left.dim != right.dim:
-            raise DimensionMismatch("pointwise product needs equal dimensions")
-        super().__init__(left.dim)
-        self.left = left
-        self.right = right
-
-    def _compute(self, n: int) -> MonomialIdeal:
-        return product(self.left.ideal_at(n), self.right.ideal_at(n))
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "factors": [self.left.to_json(), self.right.to_json()],
-        }
-
-    def describe(self) -> str:
-        return f"({self.left.describe()})*({self.right.describe()})"
-
-
-def _truncation_scale_1d(F: TruncatedFiltration) -> int:
-    """Provably valid scale for a one-variable truncated filtration.
-
-    For d = 1 the truncated ideal at n is x^w(n) with w the min-plus closure
-    of the base costs at parts <= a.  Any part size attaining the best
-    density cost(p)/p is a valid scale: w(s*i) = i*w(s) for all i because
-    every partition costs at least size * best-density.
-    """
-    a = F.a
-    costs = []
-    for p in range(1, a + 1):
-        gens = F.base.ideal_at(p).gens
-        costs.append(gens[0][0])
-    best = min(Fraction(c, p) for p, c in enumerate(costs, start=1))
-    for p, c in enumerate(costs, start=1):
-        if Fraction(c, p) == best:
-            return p
-    raise AssertionError("unreachable")
-
-
-def _resolve_scale(F: Filtration, strategy: ExactStrategy) -> int | None:
-    """A scale a with I_{a*i} = I_a^i, or None when no scale is detected.
-
-    Structure-aware: power filtrations have scale 1, rational diagonal
-    filtrations have their denominator, one-variable truncations use an exact
-    density argument.  Detection depth is boosted for truncations in higher
-    dimension to reduce the risk of a spuriously small scale.
-    """
-    if isinstance(F, PowerFiltration):
-        return 1
-    if isinstance(F, PointwiseProductFiltration):
-        s1 = _resolve_scale(F.left, strategy)
-        s2 = _resolve_scale(F.right, strategy)
-        if s1 is None or s2 is None:
-            return None
-        return math.lcm(s1, s2)
-    if isinstance(F, DiagonalFiltration):
-        rate = F.rates[0]
-        return rate.as_fraction().denominator if rate.is_rational else None
-    if isinstance(F, TruncatedFiltration):
-        if F.dim == 1:
-            return _truncation_scale_1d(F)
-        for c in range(1, max(strategy.scale_bound, F.a) + 1):
-            depth = max(strategy.scale_depth, -(-2 * F.a // c) + 1)
-            base = F.ideal_at(c)
-            if all(F.ideal_at(c * i) == power(base, i) for i in range(2, depth + 1)):
-                return c
-        return None
-    return detect_noetherian_scale(F, strategy.scale_bound, strategy.scale_depth)
-
-
-def _newton_candidates(F: Filtration, k: int) -> list[Exponent]:
-    """Points whose hull (plus the orthant) is the Newton region of F(k).
-
-    For power filtrations the Newton region scales linearly, so the base
-    generators are scaled instead of expanding I^k; the candidate set
-    generates the same region but not necessarily the same ideal, hence it is
-    only used for covolume computations.
-    """
-    if k == 0:
-        return [(0,) * F.dim]
-    if isinstance(F, PowerFiltration):
-        return [tuple(k * e for e in g) for g in F.ideal.gens]
-    if isinstance(F, PointwiseProductFiltration):
-        left = _newton_candidates(F.left, k)
-        right = _newton_candidates(F.right, k)
-        return [tuple(x + y for x, y in zip(u, v)) for u in left for v in right]
-    return list(F.ideal_at(k).gens)
-
-
-def _product_multiplicity(factors: list[tuple[Filtration, int]], strategy: ExactStrategy) -> Fraction:
+def _product_multiplicity(
+    Fs: list[Filtration], ks: list[int], strategy: ExactStrategy
+) -> Fraction:
     """Exact e(prod_j F_j(k_j)) for positive indices k_j."""
-    dim = factors[0][0].dim
+    dim = Fs[0].dim
     if strategy.multiplicity_method != "hilbert_samuel" and dim <= 3:
         points = [(0,) * dim]
-        for F, k in factors:
-            cand = _newton_candidates(F, k)
+        for F, k in zip(Fs, ks):
+            cand = F.newton_candidates(k)
             points = [tuple(x + y for x, y in zip(p, c)) for p in points for c in cand]
         return math.factorial(dim) * covolume_from_gens(points, dim)
-    ideal = unit_ideal(dim)
-    for F, k in factors:
-        ideal = product(ideal, F.ideal_at(k))
-    return Fraction(hilbert_samuel_multiplicity(ideal, strategy.hs_budget))
+    return Fraction(hilbert_samuel_multiplicity(product_at(Fs, ks), strategy.hs_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +205,17 @@ def _validate_family(Fs: list[Filtration]) -> int:
     return Fs[0].dim
 
 
+def numeric_limit(term, d: int, strategy: NumericStrategy) -> LimitEstimate:
+    """lim term(m) / m^d along the strategy's geometric schedule.
+
+    The error bound is the last successive difference.  This is a heuristic
+    (no convergence rate is asserted), so the estimate is flagged inexact.
+    """
+    samples = tuple((m, Fraction(term(m), m**d)) for m in strategy.schedule())
+    error = abs(samples[-1][1] - samples[-2][1])
+    return LimitEstimate(samples[-1][1], error, False, strategy.tag, samples)
+
+
 def limit_normalized_colength(
     Fs: list[Filtration], n, strategy: Strategy | None = None
 ) -> LimitEstimate:
@@ -326,9 +223,8 @@ def limit_normalized_colength(
 
     Exact strategy: the limit equals e(prod_j I(j)_{a n_j}) / (d! a^d) where
     a is a common power-stability scale (the lcm of per-filtration scales).
-    Numeric strategy: normalized colengths along a geometric schedule, last
-    successive difference as the error bound.  Zero indices drop their
-    factor; the all-zero index returns 0 exactly.
+    Numeric strategy: ``numeric_limit`` of the colengths.  Zero indices drop
+    their factor; the all-zero index returns 0 exactly.
     """
     strategy = strategy if strategy is not None else ExactStrategy()
     d = _validate_family(Fs)
@@ -341,30 +237,23 @@ def limit_normalized_colength(
     if not active:
         return LimitEstimate(Fraction(0), Fraction(0), True, strategy.tag)
 
-    if isinstance(strategy, ExactStrategy):
-        cores = [(_exact_core(F), v) for F, v in active]
-        scales = []
-        for F, _ in cores:
-            s = _resolve_scale(F, strategy)
-            if s is None:
-                raise NotNoetherian(
-                    f"no power-stability scale detected for {F.describe()} "
-                    f"(bound {strategy.scale_bound})"
-                )
-            scales.append(s)
-        a = math.lcm(*scales)
-        e = _product_multiplicity([(F, a * v) for F, v in cores], strategy)
-        value = e / (math.factorial(d) * Fraction(a) ** d)
-        return LimitEstimate(value, Fraction(0), True, strategy.tag)
+    if isinstance(strategy, NumericStrategy):
+        return numeric_limit(lambda m: colength(product_at(Fs, [m * v for v in n])), d, strategy)
 
-    samples: list[tuple[int, Fraction]] = []
-    for m in strategy.schedule():
-        ideal = unit_ideal(d)
-        for F, v in active:
-            ideal = product(ideal, F.ideal_at(m * v))
-        samples.append((m, Fraction(colength(ideal), m**d)))
-    error = abs(samples[-1][1] - samples[-2][1])
-    return LimitEstimate(samples[-1][1], error, False, strategy.tag, tuple(samples))
+    cores = [F.exact_core() for F, _ in active]
+    scales = []
+    for F in cores:
+        s = F.power_scale(strategy.scale_bound, strategy.scale_depth)
+        if s is None:
+            raise NotNoetherian(
+                f"no power-stability scale detected for {F.describe()} "
+                f"(bound {strategy.scale_bound})"
+            )
+        scales.append(s)
+    a = math.lcm(*scales)
+    e = _product_multiplicity(cores, [a * v for _, v in active], strategy)
+    value = e / (math.factorial(d) * Fraction(a) ** d)
+    return LimitEstimate(value, Fraction(0), True, strategy.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -387,30 +276,26 @@ def monomial_matrix(points: list[Exponent], d: int) -> list[list[Fraction]]:
     ]
 
 
-def sample_points(
-    r: int, d: int, seed: int = 0, max_attempts: int = 200
-) -> tuple[list[Exponent], list[list[Fraction]]]:
-    """g integer points whose degree-d monomial matrix B is nonsingular,
-    together with B^{-1} exactly; g = binom(r-1+d, r-1).
+def sample_points(r: int, d: int, seed: int = 0, max_attempts: int = 200) -> list[Exponent]:
+    """g integer points whose degree-d monomial matrix is nonsingular;
+    g = binom(r-1+d, r-1).
 
     Nonsingularity is generic, so seeded uniform draws from [1, 2g]^r with an
-    exact determinant test converge immediately in practice.  Deterministic
+    exact elimination test converge immediately in practice.  Deterministic
     for a fixed seed; r = 1 always returns the canonical point (1).
     """
     if r < 1 or d < 1:
         raise ValueError("need r, d >= 1")
     g = math.comb(r - 1 + d, r - 1)
     if r == 1:
-        return [(1,)], [[Fraction(1)]]
+        return [(1,)]
     rng = random.Random(seed)
     for _ in range(max_attempts):
         pts = [tuple(rng.randint(1, 2 * g) for _ in range(r)) for _ in range(g)]
         if len(set(pts)) < g:
             continue
-        B = monomial_matrix(pts, d)
-        inverse = linalg.invert(B)
-        if inverse is not None:
-            return pts, inverse
+        if linalg.solve(monomial_matrix(pts, d), [0] * g) is not None:
+            return pts
     raise ExhaustedRetries(f"no nonsingular sample matrix in {max_attempts} draws")
 
 
@@ -426,7 +311,6 @@ class MixedMultiplicityTable:
     entries: dict
     exact: bool
     points: tuple[Exponent, ...]
-    inverse: tuple
     strategy: str
 
     def entry(self, type_tuple) -> Fraction | float:
@@ -466,29 +350,22 @@ def mixed_multiplicity_table(
     """Solve for the coefficients of the limit polynomial G at sample points.
 
     b_j = G(point_j) is evaluated by ``limit_normalized_colength``; the
-    homogeneous coefficients are a = B^{-1} b and the table entry of type
-    (d_1..d_r) is the coefficient times d_1! ... d_r!.
+    homogeneous coefficients a solve B a = b exactly, and the table entry of
+    type (d_1..d_r) is the coefficient times d_1! ... d_r!.
     """
     strategy = strategy if strategy is not None else ExactStrategy()
     d = _validate_family(Fs)
     r = len(Fs)
-    points, inverse = sample_points(r, d, seed)
+    points = sample_points(r, d, seed)
     estimates = [limit_normalized_colength(Fs, p, strategy) for p in points]
     exact = all(est.exact for est in estimates)
-    b = [est.value for est in estimates]
-    cols = degree_monomials(r, d)
-    coeffs = [sum(inverse[i][j] * b[j] for j in range(len(b))) for i in range(len(cols))]
-    entries = {}
-    for e, a in zip(cols, coeffs):
-        entries[e] = a * math.prod(math.factorial(i) for i in e)
+    coeffs = linalg.solve(monomial_matrix(points, d), [est.value for est in estimates])
+    entries = {
+        e: a * math.prod(math.factorial(i) for i in e)
+        for e, a in zip(degree_monomials(r, d), coeffs)
+    }
     return MixedMultiplicityTable(
-        d=d,
-        r=r,
-        entries=entries,
-        exact=exact,
-        points=tuple(points),
-        inverse=tuple(tuple(row) for row in inverse),
-        strategy=strategy.tag,
+        d=d, r=r, entries=entries, exact=exact, points=tuple(points), strategy=strategy.tag
     )
 
 
@@ -616,14 +493,6 @@ class QuasiPolynomial:
         }
 
 
-def _family_colength(Fs: list[Filtration], n: Exponent) -> int:
-    ideal = unit_ideal(Fs[0].dim)
-    for F, v in zip(Fs, n):
-        if v:
-            ideal = product(ideal, F.ideal_at(v))
-    return colength(ideal)
-
-
 def fit_quasi_polynomial(
     Fs: list[Filtration],
     alpha: int,
@@ -647,7 +516,7 @@ def fit_quasi_polynomial(
     if alpha < 1:
         raise ValueError("period must be >= 1")
     for F in Fs:
-        s = _resolve_scale(F, strategy)
+        s = F.power_scale(strategy.scale_bound, strategy.scale_depth)
         if s is None or alpha % s != 0:
             raise NotNoetherian(
                 f"{F.describe()}: no detected scale dividing the period {alpha}"
@@ -664,7 +533,7 @@ def fit_quasi_polynomial(
                 [Fraction(math.prod(nv**e_i for nv, e_i in zip(node, e))) for e in exponents]
                 for node in nodes
             ]
-            rhs = [Fraction(_family_colength(Fs, node)) for node in nodes]
+            rhs = [Fraction(colength(product_at(Fs, node))) for node in nodes]
             solution = linalg.solve(rows, rhs)
             if solution is not None:
                 coeffs = dict(zip(exponents, solution))
@@ -676,7 +545,7 @@ def fit_quasi_polynomial(
                         c * math.prod(Fraction(nv) ** e_i for nv, e_i in zip(node, e))
                         for e, c in coeffs.items()
                     )
-                    if predicted != _family_colength(Fs, node):
+                    if predicted != colength(product_at(Fs, node)):
                         ok = False
                         break
                 if ok:

@@ -20,22 +20,25 @@ from .filtrations import (
     CeilingNormMultiFiltration,
     Filtration,
     MultiFiltration,
+    PointwiseProductFiltration,
     PowerFiltration,
     ShiftedPowerFiltration,
 )
 from .multiplicity import (
     ExactStrategy,
     NumericStrategy,
-    PointwiseProductFiltration,
     Strategy,
     degree_monomials,
     filtration_multiplicity,
     mixed_multiplicity_table,
+    monomial_matrix,
+    numeric_limit,
 )
 from . import linalg
 from .quadratic import QuadraticIrrational, ceil_sqrt
 from .staircase import (
     MonomialIdeal,
+    colength,
     integral_closure,
     maximal_ideal,
     minimalize,
@@ -415,15 +418,12 @@ def _multigraded_limit(MF: MultiFiltration, point: tuple[int, ...], m_max: int):
         if root.is_rational:
             return float(root.as_fraction()), 0.0, True
         return float(root), 0.0, True
-    schedule = NumericStrategy(m_max=m_max).schedule()
-    samples = []
-    for m in schedule:
-        ideal = MF.ideal_at(tuple(m * v for v in point))
-        from .staircase import colength
-
-        samples.append(Fraction(colength(ideal), m**MF.dim))
-    err = abs(samples[-1] - samples[-2])
-    return float(samples[-1]), float(err), False
+    est = numeric_limit(
+        lambda m: colength(MF.ideal_at(tuple(m * v for v in point))),
+        MF.dim,
+        NumericStrategy(m_max=m_max),
+    )
+    return float(est.value), float(est.error_bound), False
 
 
 def non_polynomial_witness(
@@ -445,11 +445,12 @@ def non_polynomial_witness(
     if len(set(pts)) != len(pts):
         raise SpecValidationError("witness points must be distinct")
     r = MF.arity
-    monomials = degree_monomials(r, degree)
-    g = len(monomials)
+    if any(len(p) != r for p in pts):
+        raise SpecValidationError(f"witness points need {r} coordinates")
+    g = len(degree_monomials(r, degree))
     if len(pts) < g + 3:
         raise SpecValidationError(f"need at least {g + 3} points, got {len(pts)}")
-    rows = []
+    rows = monomial_matrix(pts, degree)
     values = []
     witness_points = []
     for p in pts:
@@ -469,7 +470,6 @@ def non_polynomial_witness(
                 ceil_form=ceil_sqrt(radicand),
             )
         )
-        rows.append([Fraction(math.prod(v**k for v, k in zip(p, e))) for e in monomials])
         values.append(Fraction(est))
     # normal equations, solved exactly
     ata = [

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from filtmult.cli import main
 from filtmult.staircase import minimalize, power
@@ -251,3 +252,98 @@ def test_colength_report_bytes_pinned(tmp_path, capsys):
     report = check_report(out)["report"]
     assert report["colength"] == 5700 and len(report["ideal"]["gens"]) == 81
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_COLENGTH_POWER_40_SHA256
+
+
+# SHA-256 of reports whose evaluation goes through each per-kind scale,
+# core and Newton-candidate decision, and through the table solve; recorded
+# before those decisions moved onto the filtration classes.
+SQRT3 = {"p": "0", "q": "1", "s": 3}
+HOOK_PINS = {
+    "mixed-shifted-power": (
+        "mixed",
+        {
+            "filtrations": [
+                {"kind": "shifted_power", "ideal": {"dim": 2, "gens": [[2, 0], [1, 1], [0, 3]]}, "shift": 2},
+                {"kind": "power", "ideal": {"dim": 2, "gens": [[1, 0], [0, 2]]}},
+            ]
+        },
+        "440a01ddd8d7a7b7539c45acd4632132c1f00882536b86281570428a145e5ba7",
+    ),
+    "multiplicity-truncated-sqrt3": (
+        "multiplicity",
+        {"filtration": {"kind": "truncated", "base": {"kind": "diagonal", "rates": [SQRT3]}, "a": 7}},
+        "ed9e55f55923614d0fc78ab7cf3ace230e85387216ca5a73faf4586f5a46b8bf",
+    ),
+    "multiplicity-rational-diagonal": (
+        "multiplicity",
+        {"filtration": {"kind": "diagonal", "rates": ["7/3"]}},
+        "4ba6c3cad944b279757444fc7e29800d2c698235e7adf8e9e49960bd80cc8c00",
+    ),
+    "truncate-converge-valuation": (
+        "truncate-converge",
+        {
+            "filtrations": [{"kind": "valuation", "weights": [{"p": "1", "q": "1", "s": 2}, "2"]}],
+            "schedule": [1, 2, 4],
+        },
+        "d61cb6490e1b4830e7ce56350cef82c2cf9848fcd4d2df0bafa6045becc7ef74",
+    ),
+    "minkowski-pair": (
+        "minkowski",
+        {
+            "pair": [
+                {"kind": "shifted_power", "ideal": {"dim": 2, "gens": [[3, 0], [1, 1], [0, 2]]}, "shift": 1},
+                {"kind": "power", "ideal": {"dim": 2, "gens": [[2, 0], [0, 5]]}},
+            ]
+        },
+        "0bf2008a62fd115ba42ded3bdb7d5cbccff7253331204e366c899aa5fd4d1102",
+    ),
+    "mixed-numeric-table": (
+        "mixed",
+        {
+            "filtrations": [
+                {"kind": "valuation", "weights": ["1", "3/2"]},
+                {"kind": "power", "ideal": {"dim": 2, "gens": [[3, 0], [1, 1], [0, 2]]}},
+            ],
+            "strategy": {"kind": "numeric", "m_max": 16},
+        },
+        "78148be0818bc29d192187227034eb767a529695a3d32f7d87d9b135c4381533",
+    ),
+    "quasipoly-power": (
+        "quasipoly",
+        {"filtrations": [{"kind": "power", "ideal": {"dim": 2, "gens": [[2, 0], [1, 1], [0, 3]]}}], "period": 1},
+        "f4091e173c1df41f35e162cbf2250665ce1c90131bd06a1fe8d160cdbe6f7e5a",
+    ),
+    "quasipoly-valuation": (
+        "quasipoly",
+        {"filtrations": [{"kind": "valuation", "weights": ["3/2", "1"]}], "period": 3},
+        "46b927c9f9a96eada9d3430618836b3f0a59c0713e02190df4a82fe768639c66",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOOK_PINS))
+def test_hook_report_bytes_pinned(tmp_path, capsys, name):
+    task, spec, digest = HOOK_PINS[name]
+    path = write(tmp_path, "p.json", spec)
+    code, out = run_cli(capsys, [task, "--input", path, "--seed", "3"])
+    assert code == 0
+    check_report(out.splitlines()[-1])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        {"kind": "exact", "multiplicity_method": "hilbert-samuel"},
+        {"kind": "numeric", "m_max": 8.7},
+        {"kind": "exact", "scale_bound": 24.0},
+        {"kind": "exact", "scale_depth": 1},
+        {"kind": "numeric", "m0": True},
+    ],
+)
+def test_exit_code_2_on_invalid_strategy(tmp_path, capsys, strategy):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(BHATTACHARYA, strategy=strategy)))
+    code, out = run_cli(capsys, ["mixed", "--input", str(path)])
+    assert code == 2
+    assert check_report(out)["error"]["code"] == "SpecValidationError"

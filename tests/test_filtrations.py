@@ -1,13 +1,17 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filtmult.errors import IndexOutOfTable, NotMPrimary, SpecValidationError
 from filtmult.filtrations import (
     CeilingNormMultiFiltration,
     DiagonalFiltration,
     MonomialValuationFiltration,
+    PointwiseProductFiltration,
     PowerFiltration,
     ProductMultiFiltration,
     ShiftedPowerFiltration,
@@ -20,6 +24,7 @@ from filtmult.filtrations import (
     truncate,
     verify_filtration,
 )
+from filtmult.geometry import covolume_from_gens
 from filtmult.quadratic import SQRT2, QuadraticIrrational
 from filtmult.staircase import maximal_ideal, minimalize, power, product, unit_ideal
 
@@ -283,3 +288,68 @@ def test_multifiltration_json_round_trips():
         G = multifiltration_from_json(MF.to_json())
         for n in [(0, 0), (1, 1), (2, 1)]:
             assert MF.ideal_at(n) == G.ideal_at(n)
+
+
+# -- exact-evaluation hooks ----------------------------------------------------
+
+
+def rational_diagonal(value: Fraction) -> DiagonalFiltration:
+    return DiagonalFiltration([QuadraticIrrational.rational(value)])
+
+
+def test_power_scale_per_kind():
+    assert PowerFiltration(I2((3, 0), (1, 1), (0, 2))).power_scale(24, 4) == 1
+    assert rational_diagonal(Fraction(3, 2)).power_scale(24, 4) == 2
+    assert diag_sqrt2().power_scale(24, 4) is None
+    both = PointwiseProductFiltration(
+        rational_diagonal(Fraction(3, 2)), rational_diagonal(Fraction(5, 3))
+    )
+    assert both.power_scale(24, 4) == 6
+
+
+@pytest.mark.parametrize("a", [1, 2, 5, 7, 12])
+def test_power_scale_truncated_d1_is_density_argmin(a):
+    F = truncate(diag_sqrt2(), a)
+    # ceil(p*sqrt2) = isqrt(2p^2) + 1, since 2p^2 is never a square
+    expected = min(range(1, a + 1), key=lambda p: Fraction(math.isqrt(2 * p * p) + 1, p))
+    s = F.power_scale(1, 2)
+    assert s == expected
+    assert all(F.ideal_at(s * i) == power(F.ideal_at(s), i) for i in range(2, 6))
+
+
+def test_pointwise_product_with_shifted_factor_scales_through_core():
+    m = maximal_ideal(2)
+    F = PointwiseProductFiltration(PowerFiltration(m), ShiftedPowerFiltration(m, 1))
+    assert F.power_scale(24, 4) is None
+    core = F.exact_core()
+    assert core.power_scale(24, 4) == 1
+    assert core.ideal_at(3) == power(m, 6)
+    plain = PowerFiltration(m)
+    assert plain.exact_core() is plain
+    shifted = ShiftedPowerFiltration(m, 2).exact_core()
+    assert isinstance(shifted, PowerFiltration) and shifted.ideal == m
+
+
+@st.composite
+def m_primary_ideals(draw, d):
+    caps = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    gens = [tuple(c if j == i else 0 for j in range(d)) for i, c in enumerate(caps)]
+    extra = st.tuples(*[st.integers(0, 3)] * d).filter(any)
+    gens += draw(st.lists(extra, max_size=3))
+    return minimalize(gens, d)
+
+
+@st.composite
+def hook_filtrations(draw):
+    d = draw(st.integers(2, 3))
+    left = PowerFiltration(draw(m_primary_ideals(d)))
+    if draw(st.booleans()):
+        return left
+    return PointwiseProductFiltration(left, PowerFiltration(draw(m_primary_ideals(d))))
+
+
+@given(hook_filtrations(), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_newton_candidates_span_the_term_newton_region(F, k):
+    expected = covolume_from_gens(list(F.ideal_at(k).gens), F.dim)
+    assert covolume_from_gens(F.newton_candidates(k), F.dim) == expected

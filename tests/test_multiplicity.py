@@ -4,17 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from filtmult.errors import NotMPrimary, NotNoetherian
+from filtmult.errors import NotMPrimary, NotNoetherian, SpecValidationError
+from filtmult import linalg
 from filtmult.filtrations import (
     DiagonalFiltration,
     MonomialValuationFiltration,
+    PointwiseProductFiltration,
     PowerFiltration,
     ShiftedPowerFiltration,
 )
 from filtmult.multiplicity import (
     ExactStrategy,
     NumericStrategy,
-    PointwiseProductFiltration,
     degree_monomials,
     filtration_multiplicity,
     fit_quasi_polynomial,
@@ -23,6 +24,7 @@ from filtmult.multiplicity import (
     limit_normalized_colength,
     mixed_multiplicity_table,
     monomial_matrix,
+    numeric_limit,
     sample_points,
     truncation_convergence,
 )
@@ -123,6 +125,18 @@ def test_limit_exact_requires_noetherian():
         limit_normalized_colength([DiagonalFiltration([SQRT2])], (1,), ExactStrategy())
 
 
+def test_exact_strategy_rejects_unknown_method():
+    with pytest.raises(SpecValidationError):
+        ExactStrategy(multiplicity_method="hilbert-samuel")
+
+
+def test_numeric_limit_last_difference_bound():
+    est = numeric_limit(lambda m: m * m + m, 2, NumericStrategy(m_max=8))
+    assert [m for m, _ in est.samples] == [1, 2, 4, 8]
+    assert est.value == Fraction(9, 8) and est.error_bound == Fraction(1, 8)
+    assert est.exact is False
+
+
 def test_numeric_agrees_with_exact_within_error():
     F1, F2 = bhattacharya_pair()
     F3 = PowerFiltration(minimalize([(3,)], 1))
@@ -153,21 +167,21 @@ def test_limit_homogeneity_exact():
 
 
 def test_sample_points_r1():
-    points, inverse = sample_points(1, 3)
-    assert points == [(1,)] and inverse == [[Fraction(1)]]
+    assert sample_points(1, 3) == [(1,)]
 
 
 @pytest.mark.parametrize("r,d", [(2, 1), (2, 2), (2, 3), (3, 2)])
 def test_sample_points_invertible(r, d):
-    points, inverse = sample_points(r, d, seed=5)
+    points = sample_points(r, d, seed=5)
     g = math.comb(r - 1 + d, r - 1)
-    assert len(points) == g
+    assert len(points) == g and len(set(points)) == g
     B = monomial_matrix(points, d)
-    prod_mat = [
-        [sum(B[i][k] * inverse[k][j] for k in range(g)) for j in range(g)]
-        for i in range(g)
-    ]
-    assert prod_mat == [[Fraction(int(i == j)) for j in range(g)] for i in range(g)]
+    # nonsingular: every right-hand side has a unique exact solution
+    for j in range(g):
+        unit = [Fraction(int(i == j)) for i in range(g)]
+        x = linalg.solve(B, unit)
+        assert x is not None
+        assert [sum(B[i][k] * x[k] for k in range(g)) for i in range(g)] == unit
 
 
 def test_sample_points_deterministic():

@@ -204,6 +204,8 @@ def test_witness_requires_enough_points():
         non_polynomial_witness(MF, [(1, 0), (0, 1), (1, 1)], 1)
     with pytest.raises(SpecValidationError):
         non_polynomial_witness(MF, [(1, 0)] * 8, 1)
+    with pytest.raises(SpecValidationError):
+        non_polynomial_witness(MF, [(a, b, 5) for a in range(1, 3) for b in range(4)], 1)
 
 
 def test_witness_linear_filtration_fits_perfectly():
