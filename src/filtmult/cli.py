@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from .errors import FiltmultError, SpecValidationError
+from .errors import FiltmultError, SpecValidationError, spec_int
 from .filtrations import CeilingNormMultiFiltration, Filtration, filtration_from_json
 from .multiplicity import (
     ExactStrategy,
@@ -53,13 +53,10 @@ TASKS = (
 )
 
 
-def _strategy_int(data: dict, key: str, default: int, minimum: int) -> int:
-    value = data.get(key, default)
-    if type(value) is not int or value < minimum:
-        raise SpecValidationError(
-            f"strategy {key} must be an integer >= {minimum}, got {value!r}"
-        )
-    return value
+def _spec_int(data: dict, key: str, default: int, minimum: int) -> int:
+    """The integer field ``key`` of a spec object, held to the type and
+    minimum that docs/input_schema.json gives it."""
+    return spec_int(data.get(key, default), key, minimum)
 
 
 def _strategy_from_json(data, budget: int | None) -> Strategy:
@@ -68,17 +65,25 @@ def _strategy_from_json(data, budget: int | None) -> Strategy:
     kind = data.get("kind")
     if kind == "exact":
         return ExactStrategy(
-            scale_bound=_strategy_int(data, "scale_bound", 24, 1),
-            scale_depth=_strategy_int(data, "scale_depth", 4, 2),
+            scale_bound=_spec_int(data, "scale_bound", 24, 1),
+            scale_depth=_spec_int(data, "scale_depth", 4, 2),
             multiplicity_method=data.get("multiplicity_method", "auto"),
-            hs_budget=_strategy_int(data, "hs_budget", 60, 4),
+            hs_budget=_spec_int(data, "hs_budget", 60, 4),
         )
     if kind == "numeric":
-        m_max = _strategy_int(data, "m_max", 4096, 2)
+        m_max = _spec_int(data, "m_max", 4096, 2)
         if budget is not None:
             m_max = budget
-        return NumericStrategy(m_max=m_max, m0=_strategy_int(data, "m0", 1, 1))
+        return NumericStrategy(m_max=m_max, m0=_spec_int(data, "m0", 1, 1))
     raise SpecValidationError(f"unknown strategy kind {data.get('kind')!r}")
+
+
+def _exact_strategy(spec: dict, budget: int | None) -> ExactStrategy:
+    """The spec's strategy for an engine that only computes exact values."""
+    strategy = _strategy_from_json(spec.get("strategy"), budget)
+    if not isinstance(strategy, ExactStrategy):
+        raise SpecValidationError("this task computes exact values only; use an exact strategy")
+    return strategy
 
 
 def _filtration_list(spec: dict) -> list[Filtration]:
@@ -122,8 +127,9 @@ def _task_truncate_converge(spec, args):
     Fs = _filtration_list(spec)
     report = truncation_convergence(
         Fs,
-        spec["schedule"],
+        [spec_int(a, "schedule entry", 1) for a in spec["schedule"]],
         targets=spec.get("targets"),
+        strategy=_exact_strategy(spec, args.budget),
         seed=args.seed,
     )
     return report.to_json(), None
@@ -131,13 +137,18 @@ def _task_truncate_converge(spec, args):
 
 def _task_quasipoly(spec, args):
     Fs = _filtration_list(spec)
-    qp = fit_quasi_polynomial(Fs, int(spec["period"]), window=int(spec.get("window", 2)))
+    qp = fit_quasi_polynomial(
+        Fs,
+        spec_int(spec["period"], "period", 1),
+        window=_spec_int(spec, "window", 2, 1),
+        strategy=_exact_strategy(spec, args.budget),
+    )
     return qp.to_json(), None
 
 
 def _task_okounkov(spec, args):
     F = filtration_from_json(spec["filtration"])
-    m_max = int(spec.get("m_max", 64))
+    m_max = _spec_int(spec, "m_max", 64, 1)
     if args.budget is not None:
         m_max = args.budget
     report = volume_limit_check(F, m_max)
@@ -153,11 +164,11 @@ def _task_minkowski(spec, args):
         return report.to_json(), report.passed
     suite_spec = spec.get("suite", {})
     result = minkowski_suite(
-        count_d2=int(suite_spec.get("count_d2", 100)),
-        count_d3=int(suite_spec.get("count_d3", 25)),
+        count_d2=_spec_int(suite_spec, "count_d2", 100, 0),
+        count_d3=_spec_int(suite_spec, "count_d3", 25, 0),
         seed=args.seed,
-        max_exp_d2=int(suite_spec.get("max_exp_d2", 5)),
-        max_exp_d3=int(suite_spec.get("max_exp_d3", 4)),
+        max_exp_d2=_spec_int(suite_spec, "max_exp_d2", 5, 1),
+        max_exp_d3=_spec_int(suite_spec, "max_exp_d3", 4, 1),
     )
     return result.to_json(), result.passed
 
@@ -165,7 +176,7 @@ def _task_minkowski(spec, args):
 def _task_rees(spec, args):
     Fs = _filtration_list(spec)
     strategy = _strategy_from_json(spec.get("strategy"), args.budget)
-    report = rees_identity_check(Fs, int(spec.get("slot", 1)), strategy, seed=args.seed)
+    report = rees_identity_check(Fs, _spec_int(spec, "slot", 1, 1), strategy, seed=args.seed)
     return report.to_json(), report.passed
 
 
@@ -175,20 +186,20 @@ def _task_integrality(spec, args):
         return report.to_json(), report.passed
     suite_spec = spec.get("suite", {})
     result = integrality_suite(
-        count=int(suite_spec.get("count", 20)),
+        count=_spec_int(suite_spec, "count", 20, 1),
         seed=args.seed,
-        max_exp=int(suite_spec.get("max_exp", 6)),
+        max_exp=_spec_int(suite_spec, "max_exp", 6, 1),
     )
     return result.to_json(), result.passed
 
 
 def _task_multigraded_demo(spec, args):
     spec = spec or {}
-    arity = int(spec.get("arity", 2))
+    arity = _spec_int(spec, "arity", 2, 1)
     MF = CeilingNormMultiFiltration(arity, spec.get("weights"))
     points = [tuple(p) for p in spec.get("points", STANDARD_WITNESS_POINTS)]
     threshold = args.threshold if args.threshold is not None else float(spec.get("threshold", 0.05))
-    m_max = args.budget if args.budget is not None else int(spec.get("m_max", 4096))
+    m_max = args.budget if args.budget is not None else _spec_int(spec, "m_max", 4096, 1)
     report = non_polynomial_witness(MF, points, degree=MF.dim, threshold=threshold, m_max=m_max)
     return report.to_json(), report.witnessed
 

@@ -66,3 +66,12 @@ class SpecValidationError(FiltmultError):
     """A problem description failed validation before dispatch."""
 
     code = "SpecValidationError"
+
+
+def spec_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` itself when it is an ``int`` (not a bool, float or string)
+    of at least ``minimum``; otherwise SpecValidationError."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise SpecValidationError(f"{name}: integers{at_least} only, got {value!r}")
+    return value

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -20,12 +21,12 @@ from .errors import (
     IndexOutOfTable,
     NotMPrimary,
     SpecValidationError,
+    spec_int,
 )
-from .quadratic import QuadraticIrrational, ceil_sqrt
+from .quadratic import QuadraticIrrational, ceil_sqrt, floor_sqrt_form
 from .staircase import (
     MonomialIdeal,
     ideal_sum,
-    minimal_elements,
     minimalize,
     power,
     product,
@@ -188,8 +189,9 @@ class DiagonalFiltration(Filtration):
 class MonomialValuationFiltration(Filtration):
     """n -> minimal set of a with sum_i a_i * w_i >= n, weights w_i > 0.
 
-    All weights must lie in one real quadratic field so that weighted sums
-    stay exactly comparable.
+    All weights must lie in one real quadratic field Q(sqrt s), so each is
+    stored once as ``(p_i + q_i*sqrt(s)) / b`` over a common integer
+    denominator b and every threshold is an exact integer ceiling.
     """
 
     kind = "valuation"
@@ -207,24 +209,33 @@ class MonomialValuationFiltration(Filtration):
                 raise ValueError("valuation weights must be positive")
         super().__init__(len(weights))
         self.weights = tuple(weights)
+        self._s = radicands.pop() if radicands else 1
+        self._b = math.lcm(*(f.denominator for w in weights for f in (w.p, w.q)))
+        self._forms = tuple((int(w.p * self._b), int(w.q * self._b)) for w in weights)
+
+    def _ceil_over(self, x: int, y: int, i: int) -> int:
+        """Exact ``ceil((x + y*sqrt(s)) / (p_i + q_i*sqrt(s)))`` for integers x, y."""
+        p, q = self._forms[i]
+        s = self._s
+        # times the conjugate p - q*sqrt(s); the norm is nonzero as sqrt(s)
+        # is irrational or q = 0
+        u, v, norm = x * p - y * q * s, y * p - x * q, p * p - q * q * s
+        if norm < 0:
+            u, v, norm = -u, -v, -norm
+        return -floor_sqrt_form(-u, -v, norm, s)
 
     def _compute(self, n: int) -> MonomialIdeal:
-        # a_i can be capped at ceil(n / w_i): beyond that the single
-        # coordinate already clears the threshold.
-        caps = []
-        for w in self.weights:
-            cap = 0
-            while (w * cap).compare_fraction(n) < 0:
-                cap += 1
-            caps.append(cap)
-        members = []
+        # walk a_1..a_{d-1} up to ceil(n / w_i), beyond which that coordinate
+        # alone clears n; the least a_d that completes the sum is one ceiling
+        nb, last = n * self._b, self.dim - 1
+        caps = [self._ceil_over(nb, 0, i) for i in range(last)]
+        ps, qs = zip(*self._forms[:last]) if last else ((), ())
+        points = []
         for a in itertools.product(*(range(c + 1) for c in caps)):
-            total = QuadraticIrrational.rational(0)
-            for coeff, w in zip(a, self.weights):
-                total = total + w * coeff
-            if total.compare_fraction(n) >= 0:
-                members.append(a)
-        return minimalize(minimal_elements(members), self.dim)
+            x = nb - sum(map(operator.mul, a, ps))
+            y = -sum(map(operator.mul, a, qs))
+            points.append((*a, max(0, self._ceil_over(x, y, last))))
+        return minimalize(points, self.dim)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "weights": [w.to_json() for w in self.weights]}
@@ -570,7 +581,9 @@ def filtration_from_json(data: dict) -> Filtration:
     if kind == "power":
         return PowerFiltration(MonomialIdeal.from_json(data["ideal"]))
     if kind == "shifted_power":
-        return ShiftedPowerFiltration(MonomialIdeal.from_json(data["ideal"]), int(data["shift"]))
+        return ShiftedPowerFiltration(
+            MonomialIdeal.from_json(data["ideal"]), spec_int(data["shift"], "shift", 0)
+        )
     if kind == "diagonal":
         return DiagonalFiltration([_qi_from_json(r) for r in data["rates"]])
     if kind == "valuation":
@@ -578,7 +591,7 @@ def filtration_from_json(data: dict) -> Filtration:
     if kind == "table":
         return TableFiltration([MonomialIdeal.from_json(e) for e in data["ideals"]])
     if kind == "truncated":
-        return TruncatedFiltration(filtration_from_json(data["base"]), int(data["a"]))
+        return TruncatedFiltration(filtration_from_json(data["base"]), spec_int(data["a"], "a", 1))
     raise SpecValidationError(f"unknown filtration kind {kind!r}")
 
 
@@ -587,7 +600,9 @@ def multifiltration_from_json(data: dict) -> MultiFiltration:
     if kind == "product":
         return ProductMultiFiltration([filtration_from_json(f) for f in data["factors"]])
     if kind == "ceiling_norm":
-        return CeilingNormMultiFiltration(int(data["arity"]), data.get("weights"))
+        return CeilingNormMultiFiltration(spec_int(data["arity"], "arity", 1), data.get("weights"))
     if kind == "truncated_multi":
-        return TruncatedMultiFiltration(multifiltration_from_json(data["base"]), int(data["a"]))
+        return TruncatedMultiFiltration(
+            multifiltration_from_json(data["base"]), spec_int(data["a"], "a", 1)
+        )
     raise SpecValidationError(f"unknown multifiltration kind {kind!r}")

@@ -2,8 +2,9 @@
 
 Filtration rates like sqrt(2) must be handled without floating point: the
 value ``ceil(n * sqrt(2))`` sits arbitrarily close to an integer and a float
-round-off would silently change an exponent.  All comparisons here reduce to
-integer sign tests, so floors and ceilings are exact.
+round-off would silently change an exponent.  All comparisons reduce to
+integer sign tests and floors to one integer square root, so floors and
+ceilings are exact.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import spec_int
 
 
 def is_squarefree(s: int) -> bool:
@@ -22,6 +25,19 @@ def is_squarefree(s: int) -> bool:
             return False
         f += 1
     return True
+
+
+def floor_sqrt_form(a: int, c: int, b: int, s: int) -> int:
+    """Exact ``floor((a + c*sqrt(s)) / b)`` for integers a, c, b > 0, s >= 0.
+
+    This is ``(a + t) // b`` with ``t = floor(c*sqrt(s))``, one integer
+    square root: ``isqrt(c^2 s)`` for c >= 0, and ``-isqrt(c^2 s) - 1``
+    for c < 0 unless ``c^2 s`` is a square.
+    """
+    r = math.isqrt(c * c * s)
+    if c < 0:
+        r = -r if r * r == c * c * s else -r - 1
+    return (a + r) // b
 
 
 def _as_fraction(value) -> Fraction:
@@ -167,15 +183,10 @@ class QuadraticIrrational:
     # -- floors and ceilings -------------------------------------------------
 
     def floor(self) -> int:
-        if self.is_rational:
-            return math.floor(self.p)
-        k = math.floor(float(self))
-        # fix possible float misrounding with exact comparisons
-        while self.compare_fraction(k) < 0:
-            k -= 1
-        while self.compare_fraction(k + 1) >= 0:
-            k += 1
-        return k
+        p, q = self.p, self.q
+        b = math.lcm(p.denominator, q.denominator)
+        a, c = p.numerator * (b // p.denominator), q.numerator * (b // q.denominator)
+        return floor_sqrt_form(a, c, b, self.s)
 
     def ceil(self) -> int:
         if self.is_rational:
@@ -199,7 +210,9 @@ class QuadraticIrrational:
 
     @staticmethod
     def from_json(data: dict) -> "QuadraticIrrational":
-        return QuadraticIrrational(Fraction(data["p"]), Fraction(data["q"]), int(data["s"]))
+        return QuadraticIrrational(
+            Fraction(data["p"]), Fraction(data["q"]), spec_int(data["s"], "radicand s", 1)
+        )
 
 
 SQRT2 = QuadraticIrrational.sqrt(2)

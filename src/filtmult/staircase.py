@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import geometry
 from .geometry import minimal_elements
 from .errors import (BudgetExceeded, DimensionMismatch, DimensionUnsupported, NotMPrimary,
-                     SpecValidationError)
+                     spec_int)
 
 Exponent = tuple[int, ...]
 
@@ -111,8 +111,8 @@ class MonomialIdeal:
     @staticmethod
     def from_json(data: dict) -> "MonomialIdeal":
         gens = [tuple(g) for g in data["gens"]]
-        if not all(type(v) is int for v in itertools.chain([data["dim"]], *gens)):  # not bool
-            raise SpecValidationError("ideal dim and exponents must be integers")
+        for v in itertools.chain([data["dim"]], *gens):
+            spec_int(v, "ideal dim and exponents")
         return minimalize(gens, data["dim"])
 
     def __repr__(self) -> str:

@@ -331,6 +331,44 @@ def test_hook_report_bytes_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of valuation reports at the default seed, recorded while valuation
+# ideals still came from a full box scan with float-guessed floors.
+SQRT2 = {"p": "0", "q": "1", "s": 2}
+VALUATION_PINS = {
+    # the exact strategy finds no scale, so the numeric fallback walks to m = 1024
+    "okounkov-sqrt2": (
+        "okounkov",
+        {"filtration": {"kind": "valuation", "weights": [SQRT2, "1"]}, "m_max": 8},
+        "cee30203c60740f20ee79a0ebb5d1b1c9c7c7313d534c973fff8d8e0e511e7cf",
+    ),
+    "multiplicity-numeric-d3": (
+        "multiplicity",
+        {
+            "filtration": {"kind": "valuation", "weights": ["1", SQRT3, {"p": "2", "q": "1/2", "s": 3}]},
+            "strategy": {"kind": "numeric", "m_max": 8},
+        },
+        "ddc66b249279eda538bdc11cd8a56d2be58295e67457761ed1eed9e07e3239f6",
+    ),
+    "truncate-converge-sqrt5": (
+        "truncate-converge",
+        {
+            "filtrations": [{"kind": "valuation", "weights": ["1", {"p": "0", "q": "1", "s": 5}]}],
+            "schedule": [1, 2, 3, 4, 6],
+        },
+        "5525a1d7831184f7eba49283fe2d72b16582346fe4e9026390592aae0afd874d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUATION_PINS))
+def test_valuation_report_bytes_pinned(tmp_path, capsys, name):
+    task, spec, digest = VALUATION_PINS[name]
+    code, out = run_cli(capsys, [task, "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    check_report(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "strategy",
     [
@@ -347,3 +385,72 @@ def test_exit_code_2_on_invalid_strategy(tmp_path, capsys, strategy):
     code, out = run_cli(capsys, ["mixed", "--input", str(path)])
     assert code == 2
     assert check_report(out)["error"]["code"] == "SpecValidationError"
+
+
+TRUNCATED_SQRT2 = {"kind": "truncated", "base": {"kind": "diagonal", "rates": [SQRT2]}, "a": 3}
+BAD_INTEGER_SPECS = {
+    "radicand": ("multiplicity", {"filtration": {"kind": "valuation", "weights": [{"p": "0", "q": "1", "s": 2.9}, "1"]}}),
+    "period": ("quasipoly", {"filtrations": [{"kind": "valuation", "weights": ["1", "2"]}], "period": 1.9}),
+    "truncation-level": ("multiplicity", {"filtration": dict(TRUNCATED_SQRT2, a=2.7)}),
+    "shift": ("mixed", {"filtrations": [{"kind": "shifted_power", "ideal": {"dim": 1, "gens": [[2]]}, "shift": "1"}]}),
+    "window": ("quasipoly", {"filtrations": [{"kind": "valuation", "weights": ["1", "2"]}], "period": 2, "window": 2.0}),
+    "schedule": ("truncate-converge", {"filtrations": [TRUNCATED_SQRT2], "schedule": [1, 2.5]}),
+    "slot": ("rees", dict(BHATTACHARYA, slot=True)),
+    "okounkov-m_max": ("okounkov", {"filtration": TRUNCATED_SQRT2, "m_max": 8.5}),
+    "demo-arity": ("multigraded-demo", {"arity": 2.0}),
+    "demo-m_max": ("multigraded-demo", {"m_max": "64"}),
+    "suite-count": ("integrality", {"suite": {"count": 2.2}}),
+    "suite-count_d3": ("minkowski", {"suite": {"count_d2": 1, "count_d3": 0.5}}),
+    "suite-count-zero": ("integrality", {"suite": {"count": 0}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INTEGER_SPECS))
+def test_exit_code_2_on_bad_integer_spec_fields(tmp_path, capsys, name):
+    task, spec = BAD_INTEGER_SPECS[name]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, [task, "--input", str(path)])
+    assert code == 2
+    assert check_report(out)["error"]["code"] == "SpecValidationError"
+
+
+EXACT_ONLY_SPECS = {
+    "truncate-converge": {"filtrations": [{"kind": "valuation", "weights": ["1", SQRT3]}], "schedule": [1, 2]},
+    "quasipoly": {"filtrations": [{"kind": "valuation", "weights": ["1", "2"]}], "period": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        {"kind": "numeric", "m_max": "bogus"},
+        {"kind": "numeric"},
+        {"kind": "exact", "multiplicity_method": "bogus"},
+        {"kind": "exact", "scale_bound": 0},
+    ],
+)
+@pytest.mark.parametrize("task", sorted(EXACT_ONLY_SPECS))
+def test_exact_only_tasks_validate_strategy(tmp_path, capsys, task, strategy):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(EXACT_ONLY_SPECS[task], strategy=strategy)))
+    code, out = run_cli(capsys, [task, "--input", str(path)])
+    assert code == 2
+    assert check_report(out)["error"]["code"] == "SpecValidationError"
+
+
+@pytest.mark.parametrize("task", sorted(EXACT_ONLY_SPECS))
+def test_exact_only_tasks_accept_an_exact_strategy(tmp_path, capsys, task):
+    spec = EXACT_ONLY_SPECS[task]
+    code, default = run_cli(capsys, [task, "--input", write(tmp_path, "a.json", spec)])
+    assert code == 0
+    explicit = dict(spec, strategy={"kind": "exact"})
+    assert run_cli(capsys, [task, "--input", write(tmp_path, "b.json", explicit)]) == (0, default)
+
+
+def test_quasipoly_uses_the_given_strategy(tmp_path, capsys):
+    # the valuation (1, 2) has scale 2, beyond a scale bound of 1
+    spec = dict(EXACT_ONLY_SPECS["quasipoly"], strategy={"kind": "exact", "scale_bound": 1})
+    code, out = run_cli(capsys, ["quasipoly", "--input", write(tmp_path, "p.json", spec)])
+    assert code == 1
+    assert check_report(out)["error"]["code"] == "NotNoetherian"

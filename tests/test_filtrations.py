@@ -353,3 +353,47 @@ def hook_filtrations(draw):
 def test_newton_candidates_span_the_term_newton_region(F, k):
     expected = covolume_from_gens(list(F.ideal_at(k).gens), F.dim)
     assert covolume_from_gens(F.newton_candidates(k), F.dim) == expected
+
+
+def valuation_box_scan(weights: list[QuadraticIrrational], n: int):
+    """The valuation ideal from a scan of the whole box [0, ceil(n/w_i)]:
+    independent oracle for the (d-1)-coordinate walk."""
+    caps = []
+    for w in weights:
+        cap = 0
+        while (w * cap).compare_fraction(n) < 0:
+            cap += 1
+        caps.append(cap)
+    members = []
+    for a in itertools.product(*(range(c + 1) for c in caps)):
+        total = QuadraticIrrational.rational(0)
+        for coeff, w in zip(a, weights):
+            total = total + w * coeff
+        if total.compare_fraction(n) >= 0:
+            members.append(a)
+    return minimalize(members, len(weights))
+
+
+def small_fractions(lo, hi, max_den=3):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, max_den))
+
+
+@st.composite
+def valuation_weights(draw):
+    """1-3 weights in [1/2, 6], each rational or p + q*sqrt(s) with signed
+    rational p, q, all over one radicand s."""
+    s = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13]))
+    irrational = st.builds(
+        lambda p, q: QuadraticIrrational(p, q, s),
+        small_fractions(-6, 6),
+        small_fractions(-3, 3).filter(bool),
+    )
+    weight = st.one_of(st.builds(QuadraticIrrational.rational, small_fractions(1, 12, 4)), irrational)
+    d = draw(st.integers(1, 3))
+    return draw(st.lists(weight.filter(lambda w: 0.5 <= float(w) <= 6), min_size=d, max_size=d))
+
+
+@given(valuation_weights(), st.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_valuation_walk_matches_box_scan(weights, n):
+    assert MonomialValuationFiltration(weights).ideal_at(n) == valuation_box_scan(weights, n)
