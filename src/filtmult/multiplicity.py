@@ -32,6 +32,7 @@ from .errors import (
     NotNoetherian,
     SpecValidationError,
     TopCoefficientDrift,
+    spec_int,
 )
 from .filtrations import Filtration, product_at, truncate
 from .geometry import covolume_from_gens
@@ -228,7 +229,7 @@ def limit_normalized_colength(
     """
     strategy = strategy if strategy is not None else ExactStrategy()
     d = _validate_family(Fs)
-    n = tuple(int(v) for v in n)
+    n = tuple(spec_int(v, "indices") for v in n)
     if len(n) != len(Fs):
         raise DimensionMismatch(f"{len(Fs)} filtrations but {len(n)} indices")
     if any(v < 0 for v in n):
@@ -419,7 +420,7 @@ def truncation_convergence(
     the per-target sequences and successive deltas; no convergence rate is
     asserted.
     """
-    schedule = [int(a) for a in a_schedule]
+    schedule = [spec_int(a, "schedule entry") for a in a_schedule]
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be nonempty and strictly increasing")
     strategy = strategy if strategy is not None else ExactStrategy()

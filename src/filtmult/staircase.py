@@ -71,11 +71,9 @@ class MonomialIdeal:
 
     def pure_power(self, axis: int) -> int | None:
         """Smallest e with x_axis^e in the ideal, or None if there is none."""
-        best = None
-        for g in self.gens:
-            if all(g[j] == 0 for j in range(self.dim) if j != axis):
-                best = g[axis] if best is None else min(best, g[axis])
-        return best
+        # exponents are >= 0, so the sum equals g[axis] exactly when every
+        # other coordinate is 0
+        return min((g[axis] for g in self.gens if sum(g) == g[axis]), default=None)
 
     def is_m_primary(self) -> bool:
         return all(self.pure_power(i) is not None for i in range(self.dim))
@@ -146,8 +144,40 @@ def minimalize(raw_gens, dim: int) -> MonomialIdeal:
 
 def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     _check_same_dim(I, J)
+    if I.dim == 2:
+        return MonomialIdeal(2, _product_2d(I.gens, J.gens))
     sums = [tuple(map(operator.add, g, h)) for g in I.gens for h in J.gens]
     return MonomialIdeal(I.dim, tuple(minimal_elements(sums)))
+
+
+def _product_2d(A: tuple[Exponent, ...], B: tuple[Exponent, ...]) -> tuple[Exponent, ...]:
+    """Minimal generators of the d=2 product, swept over packed integer keys.
+
+    Gens run x ascending and y strictly descending, so no sum has a y above
+    ``A[0][1] + B[0][1]``, and with M one more than that the packing
+    ``(x, y) -> x*M + y`` is additive on sums.  Each generator of B shifts the
+    ascending keys of A into an ascending run, so the sort merges runs; a
+    self-product needs only the sums ``g_i + g_j`` with ``i <= j``.  In key
+    order (x, then y) a sum is minimal exactly when its y is below every
+    earlier y.
+    """
+    if len(A) < len(B):
+        A, B = B, A
+    M = A[0][1] + B[0][1] + 1
+    ka = [x * M + y for x, y in A]
+    if A == B:
+        keys = [k + kj for j, kj in enumerate(ka) for k in ka[j:]]
+    else:
+        keys = [k + x * M + y for x, y in B for k in ka]
+    keys.sort()
+    kept = []
+    best = M
+    for k in keys:
+        y = k % M
+        if y < best:
+            kept.append(divmod(k, M))
+            best = y
+    return tuple(kept)
 
 
 def power(I: MonomialIdeal, k: int) -> MonomialIdeal:

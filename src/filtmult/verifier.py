@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DimensionMismatch, SpecValidationError
+from .errors import DimensionMismatch, SpecValidationError, spec_int
 from .filtrations import (
     CeilingNormMultiFiltration,
     Filtration,
@@ -441,7 +441,7 @@ def non_polynomial_witness(
     closed-form candidates (the norm and its round-up), which agree exactly
     on points whose squared norm is a perfect square.
     """
-    pts = [tuple(int(v) for v in p) for p in points]
+    pts = [tuple(spec_int(v, "witness point coordinates") for v in p) for p in points]
     if len(set(pts)) != len(pts):
         raise SpecValidationError("witness points must be distinct")
     r = MF.arity

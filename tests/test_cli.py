@@ -369,6 +369,34 @@ def test_valuation_report_bytes_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of d=2 power reports whose staircases come from the squaring chain
+# of ``power``, recorded before d=2 products moved to packed integer keys.
+POWER_CHAIN_PINS = {
+    "multiplicity-numeric-power": (
+        "multiplicity",
+        {
+            "filtration": {"kind": "power", "ideal": {"dim": 2, "gens": [[5, 0], [3, 1], [1, 3], [0, 6]]}},
+            "strategy": {"kind": "numeric", "m_max": 64, "m0": 5},
+        },
+        "d230a94e6c389f3ba8d24623bf311352d490418e68bc89e49a747be05efeb710",
+    ),
+    "okounkov-power": (
+        "okounkov",
+        {"filtration": {"kind": "power", "ideal": {"dim": 2, "gens": [[4, 0], [1, 2], [0, 5]]}}, "m_max": 64},
+        "5133182b4f4ff0d657ab87abf62d71b97a802c2f2797bc36fd4b4519f1fca6ff",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_CHAIN_PINS))
+def test_power_chain_report_bytes_pinned(tmp_path, capsys, name):
+    task, spec, digest = POWER_CHAIN_PINS[name]
+    code, out = run_cli(capsys, [task, "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    check_report(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "strategy",
     [

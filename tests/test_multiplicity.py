@@ -430,3 +430,15 @@ def test_mixed_table_numeric_strategy():
     assert abs(float(table.entry((2, 0))) - 2) < 0.1
     assert abs(float(table.entry((1, 1))) - 1) < 0.1
     assert abs(float(table.entry((0, 2))) - 3) < 0.1
+
+
+def test_truncation_convergence_rejects_non_integer_levels():
+    with pytest.raises(SpecValidationError):
+        truncation_convergence([DiagonalFiltration([SQRT2])], [1.5, 3.9])
+
+
+def test_limit_rejects_non_integer_indices():
+    F = PowerFiltration(I2((0, 2), (1, 1), (3, 0)))
+    assert limit_normalized_colength([F, F], (1, 0)).value == Fraction(5, 2)
+    with pytest.raises(SpecValidationError):
+        limit_normalized_colength([F, F], (1.7, 0.4))

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,95 @@ def test_product_matches_bruteforce_and_commutes(pair):
     sums = [tuple(a + b for a, b in zip(g, h)) for g in I.gens for h in J.gens]
     assert product(I, J).gens == brute_minimal(sums)
     assert product(I, J) == product(J, I)
+
+
+def brute_product(I, J):
+    return brute_minimal([tuple(a + b for a, b in zip(g, h)) for g in I.gens for h in J.gens])
+
+
+# exponents past 2**64, so packed d=2 keys x*M + y need more than 64 bits
+BIG = 2**70
+big_coord = st.one_of(st.integers(0, 6), st.integers(0, BIG), st.sampled_from([BIG, BIG - 1]))
+
+
+@st.composite
+def ideals_2d(draw):
+    """d=2 ideals: unit, single generators, m-primary or not, small or huge
+    exponents, and small staircases scaled past 64 bits."""
+    shape = draw(st.sampled_from(["unit", "single", "small", "big", "scaled"]))
+    if shape == "unit":
+        return unit_ideal(2)
+    if shape == "single":
+        return I2(draw(st.tuples(big_coord, big_coord)))
+    coord = st.integers(0, 6) if shape != "big" else big_coord
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=8))
+    if shape == "scaled":
+        c = draw(st.sampled_from([2**64 + 3, BIG]))
+        pts = [(c * x, c * y) for x, y in pts]
+    if draw(st.booleans()):  # close the staircase on both axes
+        pts += [(draw(coord), 0), (0, draw(coord))]
+    return I2(*pts)
+
+
+@given(ideals_2d(), ideals_2d(), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_product_2d_matches_bruteforce(I, J, square):
+    J = I if square else J
+    assert product(I, J).gens == brute_product(I, J)
+    assert product(J, I) == product(I, J)
+
+
+@given(ideals_2d(), st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_power_2d_matches_iterated_bruteforce(I, k):
+    expected = unit_ideal(2)
+    for _ in range(k):
+        expected = MonomialIdeal(2, brute_product(expected, I))
+    assert power(I, k) == I**k == expected
+
+
+def old_pure_power(gens, dim, axis):
+    """The per-coordinate definition the one-pass sum test replaced."""
+    best = None
+    for g in gens:
+        if all(g[j] == 0 for j in range(dim) if j != axis):
+            best = g[axis] if best is None else min(best, g[axis])
+    return best
+
+
+@st.composite
+def pure_power_cases(draw):
+    d = draw(st.integers(1, 4))
+    coord = st.integers(0, 4)
+    raw = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8))
+    # pure powers on some axes, possibly several on one axis
+    for axis in draw(st.lists(st.integers(0, d - 1), max_size=4)):
+        raw.append(tuple(draw(st.integers(0, 6)) if j == axis else 0 for j in range(d)))
+    if draw(st.booleans()):
+        raw.append((0,) * d)
+    return d, raw
+
+
+@given(pure_power_cases())
+@settings(max_examples=400, deadline=None)
+def test_pure_power_matches_coordinatewise_definition(case):
+    d, raw = case
+    # an antichain holds at most one pure power per axis, so the raw draw
+    # (duplicates and several powers on one axis included) goes in as well
+    loose = SimpleNamespace(dim=d, gens=tuple(raw))
+    assert [MonomialIdeal.pure_power(loose, i) for i in range(d)] == [
+        old_pure_power(raw, d, i) for i in range(d)
+    ]
+    I = minimalize(raw, d)
+    caps = tuple(old_pure_power(I.gens, d, i) for i in range(d))
+    assert tuple(I.pure_power(i) for i in range(d)) == caps
+    assert I.is_m_primary() == (None not in caps)
+    if None in caps:
+        with pytest.raises(NotMPrimary):
+            I.box()
+    else:
+        assert I.box() == caps
+    assert unit_ideal(d).box() == (0,) * d
 
 
 # -- product / sum / contains -------------------------------------------------

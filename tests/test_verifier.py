@@ -208,6 +208,14 @@ def test_witness_requires_enough_points():
         non_polynomial_witness(MF, [(a, b, 5) for a in range(1, 3) for b in range(4)], 1)
 
 
+def test_witness_rejects_non_integer_points():
+    MF = CeilingNormMultiFiltration(2)
+    pts = list(STANDARD_WITNESS_POINTS)
+    pts[0] = (pts[0][0] + 0.5, pts[0][1])
+    with pytest.raises(SpecValidationError):
+        non_polynomial_witness(MF, pts, 1)
+
+
 def test_witness_linear_filtration_fits_perfectly():
     # product of two power filtrations in d = 1 has an exactly linear limit,
     # so the residual does not witness anything
