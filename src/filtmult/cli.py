@@ -284,8 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args returns a fresh Namespace per call, so one parser serves every call
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     spec: dict = {}
     if args.input:
         try:

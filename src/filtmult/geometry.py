@@ -96,13 +96,9 @@ def convex_hull_2d(points: list[Point]) -> list[Point]:
 
 
 def polygon_area(vertices: list[Point]) -> Fraction:
-    total = Fraction(0)
-    n = len(vertices)
-    for i in range(n):
-        x1, y1 = vertices[i][0], vertices[i][1]
-        x2, y2 = vertices[(i + 1) % n][0], vertices[(i + 1) % n][1]
-        total += Fraction(x1) * Fraction(y2) - Fraction(x2) * Fraction(y1)
-    return abs(total) / 2
+    """Area of the polygon with the given vertex cycle (either orientation)."""
+    twice = sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(vertices, [*vertices[1:], *vertices[:1]]))
+    return abs(Fraction(twice)) / 2
 
 
 def hull_area(points: list[Point]) -> Fraction:
@@ -216,7 +212,7 @@ def newton_inequalities(gens: list[tuple[int, ...]], dim: int) -> list[tuple[tup
 
 def satisfies_inequalities(point, ineqs) -> bool:
     for normal, offset in ineqs:
-        if sum(Fraction(n) * Fraction(x) for n, x in zip(normal, point)) < offset:
+        if sum(n * x for n, x in zip(normal, point)) < offset:
             return False
     return True
 
@@ -395,7 +391,7 @@ def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
     pts = minimal_elements(gens)
     caps = []
     for i in range(dim):
-        pures = [g[i] for g in pts if all(g[j] == 0 for j in range(dim) if j != i)]
+        pures = [g[i] for g in pts if sum(g) == g[i]]
         if not pures:
             raise ValueError("complement region is unbounded (no pure power on an axis)")
         caps.append(min(pures))

@@ -268,13 +268,10 @@ def degree_monomials(r: int, d: int) -> list[Exponent]:
     return sorted(out, reverse=True)
 
 
-def monomial_matrix(points: list[Exponent], d: int) -> list[list[Fraction]]:
+def monomial_matrix(points: list[Exponent], d: int) -> list[list[int]]:
     r = len(points[0])
     cols = degree_monomials(r, d)
-    return [
-        [Fraction(math.prod(p[i] ** e[i] for i in range(r))) for e in cols]
-        for p in points
-    ]
+    return [[math.prod(p[i] ** e[i] for i in range(r)) for e in cols] for p in points]
 
 
 def sample_points(r: int, d: int, seed: int = 0, max_attempts: int = 200) -> list[Exponent]:

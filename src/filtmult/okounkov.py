@@ -183,13 +183,8 @@ def body_volume(F: Filtration, m: int, beta) -> BodyApproximation:
     pts = _fiber_hull_points(F, m, bound)
     if not pts:
         return BodyApproximation(m, (), Fraction(0))
-    volume = geometry.hull_volume(pts, F.dim) / Fraction(m) ** F.dim
-    if F.dim == 1:
-        hull = sorted(set(pts))
-    elif F.dim == 2:
-        hull = geometry.convex_hull_2d(pts)
-    else:
-        hull = sorted(set(pts))
+    hull = geometry.convex_hull_2d(pts) if F.dim == 2 else sorted(set(pts))
+    volume = geometry.hull_volume(hull, F.dim) / Fraction(m) ** F.dim
     vertices = tuple(tuple(Fraction(x, m) for x in v) for v in hull)
     return BodyApproximation(m, vertices, volume)
 

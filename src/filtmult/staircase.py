@@ -278,7 +278,7 @@ class NewtonRegion:
     def member(self, point) -> bool:
         if self.inequalities is None:
             raise DimensionUnsupported("membership test needs d <= 3")
-        if any(Fraction(x) < 0 for x in point):
+        if any(x < 0 for x in point):
             return False
         return geometry.satisfies_inequalities(point, self.inequalities)
 

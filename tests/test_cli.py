@@ -1,14 +1,19 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from filtmult import cli
 from filtmult.cli import main
 from filtmult.staircase import minimalize, power
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 INPUT_SCHEMA = json.loads((DOCS / "input_schema.json").read_text())
 REPORT_SCHEMA = json.loads((DOCS / "report_schema.json").read_text())
 
@@ -482,3 +487,91 @@ def test_quasipoly_uses_the_given_strategy(tmp_path, capsys):
     code, out = run_cli(capsys, ["quasipoly", "--input", write(tmp_path, "p.json", spec)])
     assert code == 1
     assert check_report(out)["error"]["code"] == "NotNoetherian"
+
+
+# SHA-256 of reports at --seed 3 recorded while linalg.solve, monomial
+# matrices, polygon areas and Newton-region membership still worked in
+# Fraction arithmetic: the 6x6 table solve and its sample points, a Rees
+# check, the d=3 membership path of integrality, the d=1 Okounkov body and
+# the witness normal equations.
+def _power(gens):
+    return {"kind": "power", "ideal": {"dim": len(gens[0]), "gens": gens}}
+
+
+INTEGER_EXACT_PINS = {
+    "mixed-exact-r3": (
+        "mixed",
+        {
+            "filtrations": [
+                _power([[3, 0], [1, 1], [0, 2]]),
+                _power([[2, 0], [0, 5]]),
+                {"kind": "shifted_power", "ideal": {"dim": 2, "gens": [[4, 0], [1, 2], [0, 3]]}, "shift": 1},
+            ]
+        },
+        "4311d49041c7f7dfa93f056f8df6458fff2714c448cb919a12c1c862d1a877cb",
+    ),
+    "rees-slot2": (
+        "rees",
+        {
+            "filtrations": [_power([[2, 0], [0, 1]]), _power([[1, 0], [0, 3]]), _power([[3, 0], [1, 1], [0, 2]])],
+            "slot": 2,
+        },
+        "a3f7d6c58591b8c90de3374eabb92205864f5a371748562b6b81d3a7d4e85a4d",
+    ),
+    "integrality-d3": (
+        "integrality",
+        {"ideal": {"dim": 3, "gens": [[4, 0, 0], [0, 3, 0], [0, 0, 5], [1, 1, 1], [2, 0, 1]]}},
+        "88cf099bda5b26bb5f629135c84353caea7c4884d13dbef297b0d5c0e1886b02",
+    ),
+    "okounkov-diagonal-d1": (
+        "okounkov",
+        {"filtration": {"kind": "diagonal", "rates": ["7/3"]}, "m_max": 16},
+        "6311995bf662ead9681efb93ebc53a9fa94aea435831208ff8522feae67e0153",
+    ),
+    "multigraded-demo": (
+        "multigraded-demo",
+        None,
+        "3afcd389df17b21e7333d5d1cae886273f9364bbe368ca9a467e0d56ccd17db9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_EXACT_PINS))
+def test_integer_exact_report_bytes_pinned(tmp_path, capsys, name):
+    task, spec, digest = INTEGER_EXACT_PINS[name]
+    argv = [task, "--seed", "3"]
+    if spec is not None:
+        argv += ["--input", write(tmp_path, "p.json", spec)]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    check_report(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_main_reuses_one_parser_without_carrying_state(tmp_path, capsys, monkeypatch):
+    spec = dict(BHATTACHARYA, strategy={"kind": "numeric", "m_max": 16})
+    path = write(tmp_path, "p.json", spec)
+    calls = [
+        ["mixed", "--input", path, "--budget", "8"],
+        ["mixed", "--input", path],
+        ["mixed", "--input", path, "--format", "text"],
+        ["mixed", "--input", path, "--format", "json"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    lone = [
+        subprocess.run(
+            [sys.executable, "-m", "filtmult.cli", *argv], capture_output=True, text=True, env=env, check=True
+        ).stdout
+        for argv in calls
+    ]
+
+    def no_rebuild():
+        raise AssertionError("main rebuilt its parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_rebuild)
+    in_sequence = [run_cli(capsys, argv) for argv in calls]
+    assert in_sequence == [(0, out) for out in lone]
+    assert lone[0] != lone[1] and lone[2] != lone[3] == lone[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["mixed", "--bogus"])
+    assert exc.value.code == 2

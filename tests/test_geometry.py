@@ -14,6 +14,7 @@ from filtmult.geometry import (
     lower_left_chain,
     minimal_elements,
     newton_inequalities,
+    polygon_area,
     satisfies_inequalities,
 )
 
@@ -162,3 +163,37 @@ def test_minimal_elements_matches_bruteforce(points):
 def test_minimal_elements_2d_repeated_x():
     points = [(2, 5), (2, 1), (0, 7), (2, 3), (0, 7), (4, 1), (5, 0), (3, 1)]
     assert minimal_elements(points) == [(0, 7), (2, 1), (5, 0)]
+
+
+def fraction_shoelace(vertices):
+    total = Fraction(0)
+    n = len(vertices)
+    for i in range(n):
+        (x1, y1), (x2, y2) = vertices[i], vertices[(i + 1) % n]
+        total += Fraction(x1) * Fraction(y2) - Fraction(x2) * Fraction(y1)
+    return abs(total) / 2
+
+
+COORDS = st.one_of(
+    st.integers(-(2**66), 2**66),
+    st.integers(-6, 6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+
+
+@given(st.lists(st.tuples(COORDS, COORDS), max_size=9))
+@settings(max_examples=250, deadline=None)
+def test_polygon_area_matches_fraction_shoelace(vertices):
+    area = polygon_area(vertices)
+    assert area == fraction_shoelace(vertices) == polygon_area(vertices[::-1])
+    assert type(area) is Fraction
+    hull = convex_hull_2d(vertices)
+    assert polygon_area(hull) == polygon_area(hull[::-1]) == fraction_shoelace(hull)
+
+
+def test_polygon_area_degenerate_and_oriented():
+    square = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    assert polygon_area(square) == polygon_area(square[::-1]) == 4
+    assert polygon_area([(Fraction(1, 2), 0), (1, 0), (1, Fraction(1, 3))]) == Fraction(1, 12)
+    assert polygon_area([(0, 0), (1, 1), (3, 3)]) == 0
+    assert polygon_area([(1, 1), (1, 1)]) == polygon_area([(5, 2)]) == polygon_area([]) == 0

@@ -3,10 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filtmult.errors import DimensionUnsupported
 from filtmult.filtrations import DiagonalFiltration, PowerFiltration, truncate
+from filtmult.geometry import convex_hull_2d, hull_volume
 from filtmult.okounkov import (
+    _fiber_hull_points,
     admissible_beta,
     ambient_body_volume,
     ambient_count,
@@ -161,3 +165,30 @@ def test_volume_limit_check_valuation_filtration():
     assert report.vol_body == Fraction(15, 8)
     assert report.difference == Fraction(1, 8) == report.limit.value
     assert report.limit.exact and report.gap_abs == 0
+
+
+@st.composite
+def power_fibers(draw):
+    d = draw(st.integers(1, 3))
+    caps = [draw(st.integers(1, 4)) for _ in range(d)]
+    gens = [tuple(c if j == i else 0 for j in range(d)) for i, c in enumerate(caps)]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=3))
+    # the d=3 hull scan is quartic in the fiber size, so keep d=3 fibers small
+    m = draw(st.integers(1, 4 if d < 3 else 3))
+    beta = draw(st.integers(1, 3 if d < 3 else 3 // m))
+    return PowerFiltration(minimalize(gens, d)), m, beta
+
+
+@given(power_fibers())
+@settings(max_examples=60, deadline=None)
+def test_body_volume_is_the_fiber_hull(case):
+    F, m, beta = case
+    d = F.dim
+    pts = _fiber_hull_points(F, m, beta * m)
+    body = body_volume(F, m, beta)
+    if not pts:
+        assert body.vertices == () and body.volume == 0
+        return
+    assert body.volume == hull_volume(pts, d) / Fraction(m) ** d
+    hull = convex_hull_2d(pts) if d == 2 else sorted(set(pts))
+    assert body.vertices == tuple(tuple(Fraction(x, m) for x in v) for v in hull)

@@ -392,6 +392,46 @@ def test_newton_region_two_bounded_facets():
     assert region.vertices == ((0, 4), (1, 1), (3, 0))
 
 
+def fraction_member(region, point):
+    """The membership test with every coordinate and term made a Fraction."""
+    if any(Fraction(x) < 0 for x in point):
+        return False
+    return all(
+        sum(Fraction(n) * Fraction(x) for n, x in zip(normal, point)) >= offset
+        for normal, offset in region.inequalities
+    )
+
+
+@st.composite
+def regions_with_points(draw):
+    d = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 5)] * d), min_size=1, max_size=5))
+    region = newton_region(minimalize(gens, d))
+    coord = st.one_of(st.integers(-2, 8), st.fractions(min_value=-2, max_value=8, max_denominator=12))
+    point = draw(st.tuples(*[coord] * d))
+    k = len(region.generators)
+    weights = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k).filter(any))
+    shift = draw(st.tuples(*[st.fractions(min_value=0, max_value=3, max_denominator=7)] * d))
+    return region, point, weights, shift
+
+
+@given(regions_with_points())
+@settings(max_examples=200, deadline=None)
+def test_newton_region_member_on_rational_points(case):
+    region, point, weights, shift = case
+    assert region.member(point) == fraction_member(region, point)
+    # a convex combination of generators plus an orthant vector lies inside
+    total = sum(weights)
+    combo = tuple(
+        sum(Fraction(w * g[i], total) for w, g in zip(weights, region.generators)) + shift[i]
+        for i in range(region.dim)
+    )
+    assert region.member(combo)
+    # a strictly positive normal supports the region at each vertex alone
+    for v in region.vertices:
+        assert not region.member(tuple(x - Fraction(1, 97) for x in v))
+
+
 def test_covolume_examples():
     assert covolume(newton_region(I2((2, 0), (0, 1)))) == 1
     assert covolume(newton_region(maximal_ideal(2))) == Fraction(1, 2)
