@@ -30,7 +30,6 @@ from .filtrations import (
     TruncatedMultiFiltration,
     detect_noetherian_scale,
     filtration_from_json,
-    multi_ideal_at,
     multifiltration_from_json,
     truncate,
     verify_filtration,

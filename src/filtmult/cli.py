@@ -53,10 +53,12 @@ TASKS = (
 )
 
 
-def _spec_int(data: dict, key: str, default: int, minimum: int) -> int:
+def _spec_int(data: dict, key: str, default: int, minimum: int, budget: int | None = None) -> int:
     """The integer field ``key`` of a spec object, held to the type and
-    minimum that docs/input_schema.json gives it."""
-    return spec_int(data.get(key, default), key, minimum)
+    minimum that docs/input_schema.json gives it; a ``--budget`` replaces
+    it and is held to the same minimum."""
+    value = spec_int(data.get(key, default), key, minimum)
+    return value if budget is None else spec_int(budget, "--budget", minimum)
 
 
 def _strategy_from_json(data, budget: int | None) -> Strategy:
@@ -71,10 +73,9 @@ def _strategy_from_json(data, budget: int | None) -> Strategy:
             hs_budget=_spec_int(data, "hs_budget", 60, 4),
         )
     if kind == "numeric":
-        m_max = _spec_int(data, "m_max", 4096, 2)
-        if budget is not None:
-            m_max = budget
-        return NumericStrategy(m_max=m_max, m0=_spec_int(data, "m0", 1, 1))
+        return NumericStrategy(
+            m_max=_spec_int(data, "m_max", 4096, 2, budget), m0=_spec_int(data, "m0", 1, 1)
+        )
     raise SpecValidationError(f"unknown strategy kind {data.get('kind')!r}")
 
 
@@ -148,10 +149,7 @@ def _task_quasipoly(spec, args):
 
 def _task_okounkov(spec, args):
     F = filtration_from_json(spec["filtration"])
-    m_max = _spec_int(spec, "m_max", 64, 1)
-    if args.budget is not None:
-        m_max = args.budget
-    report = volume_limit_check(F, m_max)
+    report = volume_limit_check(F, _spec_int(spec, "m_max", 64, 1, args.budget))
     return report.to_json(), None
 
 
@@ -199,7 +197,7 @@ def _task_multigraded_demo(spec, args):
     MF = CeilingNormMultiFiltration(arity, spec.get("weights"))
     points = [tuple(p) for p in spec.get("points", STANDARD_WITNESS_POINTS)]
     threshold = args.threshold if args.threshold is not None else float(spec.get("threshold", 0.05))
-    m_max = args.budget if args.budget is not None else _spec_int(spec, "m_max", 4096, 1)
+    m_max = _spec_int(spec, "m_max", 4096, 1, args.budget)
     report = non_polynomial_witness(MF, points, degree=MF.dim, threshold=threshold, m_max=m_max)
     return report.to_json(), report.witnessed
 

@@ -20,9 +20,11 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfTable,
     NotMPrimary,
+    NotNoetherian,
     SpecValidationError,
     spec_int,
 )
+from .geometry import minimal_elements
 from .quadratic import QuadraticIrrational, ceil_sqrt, floor_sqrt_form
 from .staircase import (
     MonomialIdeal,
@@ -37,8 +39,8 @@ from .staircase import (
 class Filtration:
     """Base class; subclasses provide ``_compute(n)`` for n >= 1.
 
-    Three hooks carry what each kind knows about its exact evaluation:
-    ``exact_core``, ``power_scale`` and ``newton_candidates``.
+    Exact limits come from one hook, ``limit_body``; ``power_scale`` is only
+    the period check of quasi-polynomial fitting and the default body's scale.
     """
 
     kind = "abstract"
@@ -61,11 +63,6 @@ class Filtration:
     def _compute(self, n: int) -> MonomialIdeal:
         raise NotImplementedError
 
-    def exact_core(self) -> Filtration:
-        """A filtration with the same normalized colength limits that the
-        exact strategy can evaluate."""
-        return self
-
     def power_scale(self, bound: int, depth: int) -> int | None:
         """A scale a with I_{a*i} = I_a^i, or None when none is found.
 
@@ -73,10 +70,19 @@ class Filtration:
         """
         return detect_noetherian_scale(self, bound, depth)
 
-    def newton_candidates(self, k: int) -> list[tuple[int, ...]]:
-        """Points whose hull plus the orthant is the Newton region of I_k,
-        k >= 1; they need not generate I_k, so they only feed covolumes."""
-        return list(self.ideal_at(k).gens)
+    def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
+        """Integer points G and a denominator D such that conv(G/D) plus the
+        orthant is the limit body, the closure of the union of the
+        (1/m)*Newton(I_m); its covolume is lim lam(R/I_m)/m^d.
+
+        By default this is (gens(I_a), a) for a scale a from ``power_scale``.
+        """
+        a = self.power_scale(bound, depth)
+        if a is None:
+            raise NotNoetherian(
+                f"no power-stability scale detected for {self.describe()} (bound {bound})"
+            )
+        return list(self.ideal_at(a).gens), a
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -111,9 +117,8 @@ class PowerFiltration(Filtration):
     def power_scale(self, bound: int, depth: int) -> int:
         return 1
 
-    def newton_candidates(self, k: int) -> list[tuple[int, ...]]:
-        # the Newton region scales linearly, so I^k is never expanded
-        return [tuple(k * e for e in g) for g in self.ideal.gens]
+    def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
+        return list(self.ideal.gens), 1
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "ideal": self.ideal.to_json()}
@@ -139,10 +144,7 @@ class ShiftedPowerFiltration(Filtration):
     def _compute(self, n: int) -> MonomialIdeal:
         return power(self.ideal, n + self.shift)
 
-    def exact_core(self) -> Filtration:
-        # no power-stability scale (new generators appear in every degree),
-        # but the index shift is invisible in the limit
-        return PowerFiltration(self.ideal)
+    limit_body = PowerFiltration.limit_body  # the index shift is invisible in the limit
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "ideal": self.ideal.to_json(), "shift": self.shift}
@@ -237,6 +239,16 @@ class MonomialValuationFiltration(Filtration):
             points.append((*a, max(0, self._ceil_over(x, y, last))))
         return minimalize(points, self.dim)
 
+    def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
+        if not all(w.is_rational for w in self.weights):
+            return super().limit_body(bound, depth)
+        # the body {x >= 0 : sum_i w_i x_i >= 1} is the hull of the axis
+        # intercepts 1/w_i plus the orthant
+        cuts = [1 / w.as_fraction() for w in self.weights]
+        D = math.lcm(*(c.denominator for c in cuts))
+        ends = [int(c * D) for c in cuts]
+        return [tuple(e * (j == i) for j in range(self.dim)) for i, e in enumerate(ends)], D
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "weights": [w.to_json() for w in self.weights]}
 
@@ -298,7 +310,10 @@ class TruncatedFiltration(Filtration):
         return total
 
     def power_scale(self, bound: int, depth: int) -> int | None:
-        """For d = 1 the term at n is x^w(n), w the min-plus closure of the
+        """The period check of quasi-polynomial fitting; exact limits use
+        ``limit_body`` instead.
+
+        For d = 1 the term at n is x^w(n), w the min-plus closure of the
         base costs at parts <= a; any part size attaining the best density
         cost(p)/p is a provably valid scale, since every partition costs at
         least size * best-density.  Otherwise detection runs with its depth
@@ -315,6 +330,13 @@ class TruncatedFiltration(Filtration):
             if all(self.ideal_at(c * i) == power(base, i) for i in range(2, boosted + 1)):
                 return c
         return None
+
+    def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
+        # a term past a sums products over parts k_i <= a, and
+        # (sum_i g_i) / (sum_i k_i) is a convex combination of the g_i / k_i
+        parts = range(1, self.a + 1)
+        L = math.lcm(*parts)
+        return [tuple(L // k * e for e in g) for k in parts for g in self.base.ideal_at(k).gens], L
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "base": self.base.to_json(), "a": self.a}
@@ -342,18 +364,8 @@ class PointwiseProductFiltration(Filtration):
     def _compute(self, n: int) -> MonomialIdeal:
         return product(self.left.ideal_at(n), self.right.ideal_at(n))
 
-    def exact_core(self) -> Filtration:
-        return PointwiseProductFiltration(self.left.exact_core(), self.right.exact_core())
-
-    def power_scale(self, bound: int, depth: int) -> int | None:
-        s1 = self.left.power_scale(bound, depth)
-        s2 = self.right.power_scale(bound, depth)
-        return None if s1 is None or s2 is None else math.lcm(s1, s2)
-
-    def newton_candidates(self, k: int) -> list[tuple[int, ...]]:
-        left = self.left.newton_candidates(k)
-        right = self.right.newton_candidates(k)
-        return [tuple(x + y for x, y in zip(u, v)) for u in left for v in right]
+    def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
+        return body_sum([F.limit_body(bound, depth) for F in (self.left, self.right)], (1, 1))
 
     def to_json(self) -> dict:
         return {
@@ -367,6 +379,18 @@ class PointwiseProductFiltration(Filtration):
 
 def truncate(base: Filtration, a: int) -> TruncatedFiltration:
     return TruncatedFiltration(base, a)
+
+
+def body_sum(bodies, weights) -> tuple[list[tuple[int, ...]], int]:
+    """The body sum_j v_j * conv(G_j/D_j) as points over D = lcm(D_j): the
+    Minkowski sum of the v_j * (D/D_j) * G_j, reduced to minimal elements
+    before each summand; callers reduce the result."""
+    D = math.lcm(*(Dj for _, Dj in bodies))
+    total = [(0,) * len(bodies[0][0][0])]
+    for (G, Dj), v in zip(bodies, weights):
+        c = v * (D // Dj)
+        total = [tuple(x + c * y for x, y in zip(p, g)) for p in minimal_elements(total) for g in G]
+    return total, D
 
 
 def product_at(Fs, n) -> MonomialIdeal:
@@ -431,8 +455,9 @@ def detect_noetherian_scale(F: Filtration, bound: int, depth: int = 4) -> int | 
 
     This is evidence, not proof, of Noetherianity: a genuinely non-Noetherian
     filtration has no such a, but a spuriously small a can pass a finite
-    depth check.  Callers that need sound exactness should verify more (see
-    ``Filtration.power_scale``).
+    depth check.  Exact limits rest on it only for kinds with no closed-form
+    ``limit_body`` (tables and irrational valuations); otherwise it only
+    checks the period of a quasi-polynomial fit.
     """
     for a in range(1, bound + 1):
         base = F.ideal_at(a)
@@ -560,10 +585,6 @@ class TruncatedMultiFiltration(MultiFiltration):
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "base": self.base.to_json(), "a": self.a}
-
-
-def multi_ideal_at(MF: MultiFiltration, n) -> MonomialIdeal:
-    return MF.ideal_at(tuple(n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Multiplicities and mixed multiplicities of filtrations.
 
 The normalized colength function ``P(n_1..n_r) = lim lam(R / I(1)_{m n_1}
-... I(r)_{m n_r}) / m^d`` is a homogeneous polynomial of degree d in n; its
-coefficients are recovered exactly for Noetherian inputs (through a
-power-stability scale) and numerically otherwise.  Mixed multiplicities are
-the normalized coefficients of that polynomial.
+... I(r)_{m n_r}) / m^d`` is a homogeneous polynomial of degree d in n.
+Exact values are covolumes of Minkowski sums of the filtrations' limit
+bodies, the closures of the unions of the (1/m)*Newton(I_m) (Cutkosky,
+"Multiplicities associated to graded families of ideals", Algebra & Number
+Theory 2013; Kaveh-Khovanskii, Proc. Steklov Inst. 2014); a numeric
+strategy extrapolates colengths instead.  Mixed multiplicities are the
+normalized coefficients of that polynomial.
 
 Two exact engines are available for the multiplicity of a single monomial
 ideal: the definitional Hilbert-Samuel route (d-th finite differences of
@@ -34,9 +37,10 @@ from .errors import (
     TopCoefficientDrift,
     spec_int,
 )
-from .filtrations import Filtration, product_at, truncate
+from .filtrations import Filtration, body_sum, product_at, truncate
 from .geometry import covolume_from_gens
-from .staircase import MonomialIdeal, colength, covolume, newton_region, product, unit_ideal
+from .staircase import (MonomialIdeal, colength, covolume, minimalize, newton_region, product,
+                        unit_ideal)
 
 Exponent = tuple[int, ...]
 
@@ -49,10 +53,12 @@ MULTIPLICITY_METHODS = ("auto", "covolume", "hilbert_samuel")
 
 @dataclass(frozen=True)
 class ExactStrategy:
-    """Evaluate limits exactly through a power-stability scale.
+    """Evaluate limits exactly through the filtrations' limit bodies.
 
-    ``multiplicity_method`` selects the ideal-multiplicity engine: "covolume"
-    (d <= 3), "hilbert_samuel", or "auto" (covolume when available).
+    ``multiplicity_method`` selects the engine on the summed body: "covolume"
+    (d <= 3), "hilbert_samuel", or "auto" (covolume when available).  The
+    scale bound and depth only reach kinds whose body needs a detected
+    power-stability scale, and the period check of quasi-polynomial fits.
     """
 
     scale_bound: int = 24
@@ -176,24 +182,6 @@ def ideal_multiplicity(I: MonomialIdeal, method: str = "auto", m_budget: int = 6
 
 
 # ---------------------------------------------------------------------------
-# Exact multiplicity of a product of filtration terms
-
-
-def _product_multiplicity(
-    Fs: list[Filtration], ks: list[int], strategy: ExactStrategy
-) -> Fraction:
-    """Exact e(prod_j F_j(k_j)) for positive indices k_j."""
-    dim = Fs[0].dim
-    if strategy.multiplicity_method != "hilbert_samuel" and dim <= 3:
-        points = [(0,) * dim]
-        for F, k in zip(Fs, ks):
-            cand = F.newton_candidates(k)
-            points = [tuple(x + y for x, y in zip(p, c)) for p in points for c in cand]
-        return math.factorial(dim) * covolume_from_gens(points, dim)
-    return Fraction(hilbert_samuel_multiplicity(product_at(Fs, ks), strategy.hs_budget))
-
-
-# ---------------------------------------------------------------------------
 # The limit function
 
 
@@ -222,8 +210,10 @@ def limit_normalized_colength(
 ) -> LimitEstimate:
     """lim_m lam(R / I(1)_{m n_1} ... I(r)_{m n_r}) / m^d.
 
-    Exact strategy: the limit equals e(prod_j I(j)_{a n_j}) / (d! a^d) where
-    a is a common power-stability scale (the lcm of per-filtration scales).
+    Exact strategy: the limit is the covolume of the Minkowski sum of the
+    limit bodies, sum_j n_j * Gamma_j; with the bodies over a common
+    denominator D that is covol(G) / D^d for the summed points G, or
+    e((x^g : g in G)) / (d! D^d) through the Hilbert-Samuel engine.
     Numeric strategy: ``numeric_limit`` of the colengths.  Zero indices drop
     their factor; the all-zero index returns 0 exactly.
     """
@@ -241,19 +231,13 @@ def limit_normalized_colength(
     if isinstance(strategy, NumericStrategy):
         return numeric_limit(lambda m: colength(product_at(Fs, [m * v for v in n])), d, strategy)
 
-    cores = [F.exact_core() for F, _ in active]
-    scales = []
-    for F in cores:
-        s = F.power_scale(strategy.scale_bound, strategy.scale_depth)
-        if s is None:
-            raise NotNoetherian(
-                f"no power-stability scale detected for {F.describe()} "
-                f"(bound {strategy.scale_bound})"
-            )
-        scales.append(s)
-    a = math.lcm(*scales)
-    e = _product_multiplicity(cores, [a * v for _, v in active], strategy)
-    value = e / (math.factorial(d) * Fraction(a) ** d)
+    bodies = [F.limit_body(strategy.scale_bound, strategy.scale_depth) for F, _ in active]
+    points, D = body_sum(bodies, [v for _, v in active])
+    if d <= 3 and strategy.multiplicity_method != "hilbert_samuel":
+        value = covolume_from_gens(points, d) / D**d
+    else:
+        e = hilbert_samuel_multiplicity(minimalize(points, d), strategy.hs_budget)
+        value = Fraction(e, math.factorial(d) * D**d)
     return LimitEstimate(value, Fraction(0), True, strategy.tag)
 
 

@@ -544,9 +544,6 @@ class SuiteResult:
     instances: tuple[dict, ...]
     passed: bool
 
-    def to_json_lines(self) -> list[dict]:
-        return list(self.instances)
-
     def to_json(self) -> dict:
         return {"case": self.case, "pass": self.passed, "instances": list(self.instances)}
 

@@ -448,6 +448,61 @@ def test_exit_code_2_on_bad_integer_spec_fields(tmp_path, capsys, name):
     assert check_report(out)["error"]["code"] == "SpecValidationError"
 
 
+BUDGET_CASES = {
+    "okounkov-zero": ("okounkov", {"filtration": TRUNCATED_SQRT2}, "0"),
+    "okounkov-negative": ("okounkov", {"filtration": TRUNCATED_SQRT2}, "-3"),
+    "numeric-zero": ("multiplicity", {"filtration": TRUNCATED_SQRT2, "strategy": {"kind": "numeric"}}, "0"),
+    "numeric-one": ("multiplicity", {"filtration": TRUNCATED_SQRT2, "strategy": {"kind": "numeric"}}, "1"),
+    "demo-zero": ("multigraded-demo", {}, "0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_CASES))
+def test_exit_code_2_on_budget_below_the_field_minimum(tmp_path, capsys, name):
+    # --budget replaces m_max, so it is held to the minimum of that field
+    task, spec, budget = BUDGET_CASES[name]
+    code, out = run_cli(capsys, [task, "--input", write(tmp_path, "p.json", spec), "--budget", budget])
+    assert code == 2
+    error = check_report(out)["error"]
+    assert error["code"] == "SpecValidationError"
+    assert error["message"] == f"--budget: integers >= {2 if task == 'multiplicity' else 1} only, got {budget}"
+
+
+@pytest.mark.parametrize(
+    "weights, multiplicity",
+    [
+        # a detected scale would be 25, past the default scale_bound 24
+        (["1", "25"], "1/25"),
+        # detection at the default depth 4 took the spurious scale 2 and
+        # reported 1/4 and 1/8
+        (["5/2", "2"], "1/5"),
+        (["5/2", "2", "2"], "1/10"),
+    ],
+)
+def test_rational_valuation_multiplicity_is_exact(tmp_path, capsys, weights, multiplicity):
+    # the limit body is the simplex under the intercepts 1/w_i, so e = 1/prod(w_i)
+    spec = {"filtration": {"kind": "valuation", "weights": weights}}
+    code, out = run_cli(capsys, ["multiplicity", "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    assert check_report(out)["report"]["multiplicity"] == multiplicity
+
+
+# SHA-256 of a d=3 truncated-valuation report, recorded while its exact
+# limits still came from detected power-stability scales (about a minute).
+TRUNCATED_VALUATION_D3_SHA256 = "fb936c769d208f0f67e8e6fa4209da49b8809aac29776388c5bb16b2e015ef92"
+
+
+def test_truncated_d3_valuation_report_bytes_pinned(tmp_path, capsys):
+    spec = {
+        "filtrations": [{"kind": "valuation", "weights": ["1", SQRT2, "3/2"]}],
+        "schedule": [1, 2, 3, 4],
+    }
+    code, out = run_cli(capsys, ["truncate-converge", "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    check_report(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == TRUNCATED_VALUATION_D3_SHA256
+
+
 EXACT_ONLY_SPECS = {
     "truncate-converge": {"filtrations": [{"kind": "valuation", "weights": ["1", SQRT3]}], "schedule": [1, 2]},
     "quasipoly": {"filtrations": [{"kind": "valuation", "weights": ["1", "2"]}], "period": 2},

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filtmult.errors import IndexOutOfTable, NotMPrimary, SpecValidationError
@@ -19,12 +19,12 @@ from filtmult.filtrations import (
     TruncatedMultiFiltration,
     detect_noetherian_scale,
     filtration_from_json,
-    multi_ideal_at,
     multifiltration_from_json,
+    product_at,
     truncate,
     verify_filtration,
 )
-from filtmult.geometry import covolume_from_gens
+from filtmult.multiplicity import ExactStrategy, hilbert_samuel_multiplicity, limit_normalized_colength
 from filtmult.quadratic import SQRT2, QuadraticIrrational
 from filtmult.staircase import maximal_ideal, minimalize, power, product, unit_ideal
 
@@ -222,17 +222,17 @@ def test_diagonal_rational_periodicity():
 
 def test_ceiling_norm_values():
     MF = CeilingNormMultiFiltration(2)
-    assert multi_ideal_at(MF, (3, 4)).gens == ((5,),)
-    assert multi_ideal_at(MF, (1, 1)).gens == ((2,),)
-    assert multi_ideal_at(MF, (0, 0)) == unit_ideal(1)
+    assert MF.ideal_at((3, 4)).gens == ((5,),)
+    assert MF.ideal_at((1, 1)).gens == ((2,),)
+    assert MF.ideal_at((0, 0)) == unit_ideal(1)
 
 
 def test_product_multifiltration():
     I = I2((2, 0), (0, 1))
     J = I2((1, 0), (0, 3))
     MF = ProductMultiFiltration([PowerFiltration(I), PowerFiltration(J)])
-    assert multi_ideal_at(MF, (1, 1)) == product(I, J)
-    assert multi_ideal_at(MF, (2, 0)) == power(I, 2)
+    assert MF.ideal_at((1, 1)) == product(I, J)
+    assert MF.ideal_at((2, 0)) == power(I, 2)
 
 
 def test_multigraded_axioms_ceiling_norm():
@@ -301,10 +301,6 @@ def test_power_scale_per_kind():
     assert PowerFiltration(I2((3, 0), (1, 1), (0, 2))).power_scale(24, 4) == 1
     assert rational_diagonal(Fraction(3, 2)).power_scale(24, 4) == 2
     assert diag_sqrt2().power_scale(24, 4) is None
-    both = PointwiseProductFiltration(
-        rational_diagonal(Fraction(3, 2)), rational_diagonal(Fraction(5, 3))
-    )
-    assert both.power_scale(24, 4) == 6
 
 
 @pytest.mark.parametrize("a", [1, 2, 5, 7, 12])
@@ -317,42 +313,97 @@ def test_power_scale_truncated_d1_is_density_argmin(a):
     assert all(F.ideal_at(s * i) == power(F.ideal_at(s), i) for i in range(2, 6))
 
 
-def test_pointwise_product_with_shifted_factor_scales_through_core():
-    m = maximal_ideal(2)
-    F = PointwiseProductFiltration(PowerFiltration(m), ShiftedPowerFiltration(m, 1))
-    assert F.power_scale(24, 4) is None
-    core = F.exact_core()
-    assert core.power_scale(24, 4) == 1
-    assert core.ideal_at(3) == power(m, 6)
-    plain = PowerFiltration(m)
-    assert plain.exact_core() is plain
-    shifted = ShiftedPowerFiltration(m, 2).exact_core()
-    assert isinstance(shifted, PowerFiltration) and shifted.ideal == m
-
-
 @st.composite
-def m_primary_ideals(draw, d):
-    caps = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+def m_primary_ideals(draw, d, cap=4):
+    caps = draw(st.lists(st.integers(1, cap), min_size=d, max_size=d))
     gens = [tuple(c if j == i else 0 for j in range(d)) for i, c in enumerate(caps)]
-    extra = st.tuples(*[st.integers(0, 3)] * d).filter(any)
+    extra = st.tuples(*[st.integers(0, cap - 1)] * d).filter(any)
     gens += draw(st.lists(extra, max_size=3))
     return minimalize(gens, d)
 
 
 @st.composite
-def hook_filtrations(draw):
+def body_filtrations(draw, d, products=True):
+    """A d-dimensional filtration of a kind with a closed-form limit body,
+    kept small in d = 3, where the oracle's Hilbert-Samuel runs are dear."""
+    kinds = ["power", "shifted", "valuation", "truncated"] + ["product"] * products
+    kind = draw(st.sampled_from(kinds))
+    ideals = m_primary_ideals(d, 4 if d == 2 else 2)
+    if kind == "power":
+        return PowerFiltration(draw(ideals))
+    if kind == "shifted":
+        return ShiftedPowerFiltration(draw(ideals), draw(st.integers(1, 3)))
+    if kind == "valuation":
+        if d == 2:
+            weight = st.builds(Fraction, st.integers(1, 4), st.integers(1, 2))
+        else:
+            weight = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)])
+        weights = draw(st.lists(weight, min_size=d, max_size=d))
+        return MonomialValuationFiltration([QuadraticIrrational.rational(w) for w in weights])
+    if kind == "truncated":
+        s = draw(st.sampled_from([2, 3, 5]))
+        shift = draw(st.sampled_from([0, Fraction(1, 2), 1]))
+        weights = [QuadraticIrrational.rational(1), QuadraticIrrational(shift, 1, s)]
+        weights += [QuadraticIrrational(Fraction(3, 2), Fraction(1, 2), s)] * (d - 2)
+        a = draw(st.integers(1, 4 if d == 2 else 2))
+        return truncate(MonomialValuationFiltration(draw(st.permutations(weights))), a)
+    left, right = (draw(body_filtrations(d, products=False)) for _ in range(2))
+    return PointwiseProductFiltration(left, right)
+
+
+@st.composite
+def body_families(draw):
     d = draw(st.integers(2, 3))
-    left = PowerFiltration(draw(m_primary_ideals(d)))
-    if draw(st.booleans()):
-        return left
-    return PointwiseProductFiltration(left, PowerFiltration(draw(m_primary_ideals(d))))
+    Fs = draw(st.lists(body_filtrations(d), min_size=1, max_size=2))
+    n = draw(st.lists(st.integers(0, 4 - d), min_size=len(Fs), max_size=len(Fs)).filter(any))
+    return Fs, n
 
 
-@given(hook_filtrations(), st.integers(1, 4))
-@settings(max_examples=100, deadline=None)
-def test_newton_candidates_span_the_term_newton_region(F, k):
-    expected = covolume_from_gens(list(F.ideal_at(k).gens), F.dim)
-    assert covolume_from_gens(F.newton_candidates(k), F.dim) == expected
+def limit_twin(F):
+    """A filtration with the limits of F whose terms are powers of one term:
+    lam(R/I^(m+s))/m^d and lam(R/I^m)/m^d have the same limit."""
+    if isinstance(F, ShiftedPowerFiltration):
+        return PowerFiltration(F.ideal)
+    if isinstance(F, PointwiseProductFiltration):
+        return PointwiseProductFiltration(limit_twin(F.left), limit_twin(F.right))
+    return F
+
+
+def detected_scale(F) -> int:
+    """A power-stability scale of F, detected at a depth past any truncation
+    level; a pointwise product takes the lcm of its factors' scales."""
+    if isinstance(F, PointwiseProductFiltration):
+        return math.lcm(detected_scale(F.left), detected_scale(F.right))
+    a = detect_noetherian_scale(F, 12, depth=2 * getattr(F, "a", 2) + 1)
+    assert a is not None
+    return a
+
+
+def scale_oracle_limit(Fs, n) -> Fraction:
+    """e(prod_j I(j)_{a n_j}) / (d! a^d) for a common detected scale a:
+    independent of the limit bodies."""
+    twins = [limit_twin(F) for F in Fs]
+    a = math.lcm(*(detected_scale(F) for F, v in zip(twins, n) if v))
+    d = Fs[0].dim
+    e = hilbert_samuel_multiplicity(product_at(twins, [a * v for v in n]))
+    return Fraction(e, math.factorial(d) * a**d)
+
+
+m2, one = maximal_ideal(2), QuadraticIrrational.rational(1)
+
+
+# the last example's limit is wrong from its level-3 points alone
+@given(body_families())
+@example(([PointwiseProductFiltration(PowerFiltration(m2), ShiftedPowerFiltration(m2, 1))], [1]))
+@example(([MonomialValuationFiltration([one, one])], [2]))
+@example(([truncate(MonomialValuationFiltration([one, QuadraticIrrational.sqrt(5)]), 3)], [1]))
+@settings(max_examples=60, deadline=None)
+def test_limit_body_matches_detected_scale_oracle(family):
+    Fs, n = family
+    expected = scale_oracle_limit(Fs, n)
+    assert limit_normalized_colength(Fs, n).value == expected
+    hs = ExactStrategy(multiplicity_method="hilbert_samuel")
+    assert limit_normalized_colength(Fs, n, hs).value == expected
 
 
 def valuation_box_scan(weights: list[QuadraticIrrational], n: int):
