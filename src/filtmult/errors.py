@@ -37,7 +37,8 @@ class BudgetExceeded(FiltmultError):
 
 
 class NotNoetherian(FiltmultError):
-    """No power-stability scale was detected, so the exact strategy cannot run."""
+    """The limit body is irrational or no power-stability scale was detected,
+    or a period is not a multiple of the body's; the exact path cannot run."""
 
     code = "NotNoetherian"
 

@@ -39,8 +39,9 @@ from .staircase import (
 class Filtration:
     """Base class; subclasses provide ``_compute(n)`` for n >= 1.
 
-    Exact limits come from one hook, ``limit_body``; ``power_scale`` is only
-    the period check of quasi-polynomial fitting and the default body's scale.
+    Every Noetherian fact comes from one hook, ``limit_body``: exact limits
+    are covolumes of its body, and its denominator is a proven period of the
+    colength quasi-polynomial.
     """
 
     kind = "abstract"
@@ -63,21 +64,16 @@ class Filtration:
     def _compute(self, n: int) -> MonomialIdeal:
         raise NotImplementedError
 
-    def power_scale(self, bound: int, depth: int) -> int | None:
-        """A scale a with I_{a*i} = I_a^i, or None when none is found.
-
-        By default this is the finite-depth ``detect_noetherian_scale``.
-        """
-        return detect_noetherian_scale(self, bound, depth)
-
     def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
         """Integer points G and a denominator D such that conv(G/D) plus the
         orthant is the limit body, the closure of the union of the
-        (1/m)*Newton(I_m); its covolume is lim lam(R/I_m)/m^d.
+        (1/m)*Newton(I_m); its covolume is lim lam(R/I_m)/m^d, and D is a
+        period of the colength quasi-polynomial.
 
-        By default this is (gens(I_a), a) for a scale a from ``power_scale``.
+        Kinds without a closed form (tables) use (gens(I_a), a) at the scale
+        a from ``detect_noetherian_scale``.
         """
-        a = self.power_scale(bound, depth)
+        a = detect_noetherian_scale(self, bound, depth)
         if a is None:
             raise NotNoetherian(
                 f"no power-stability scale detected for {self.describe()} (bound {bound})"
@@ -113,9 +109,6 @@ class PowerFiltration(Filtration):
         if n - 1 in self._cache:
             return product(self._cache[n - 1], self.ideal)
         return power(self.ideal, n)
-
-    def power_scale(self, bound: int, depth: int) -> int:
-        return 1
 
     def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
         return list(self.ideal.gens), 1
@@ -177,9 +170,14 @@ class DiagonalFiltration(Filtration):
         e = self.rates[0].ceil_times(n)
         return MonomialIdeal(1, ((e,),))
 
-    def power_scale(self, bound: int, depth: int) -> int | None:
+    def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
         rate = self.rates[0]
-        return rate.as_fraction().denominator if rate.is_rational else None
+        if not rate.is_rational:
+            # theta is a vertex of the body, and a scale a would make the
+            # body (1/a)*Newton(I_a), which is rational
+            raise NotNoetherian(f"{self.describe()} has the irrational vertex {rate}")
+        rate = rate.as_fraction()
+        return [(rate.numerator,)], rate.denominator
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "rates": [r.to_json() for r in self.rates]}
@@ -241,7 +239,8 @@ class MonomialValuationFiltration(Filtration):
 
     def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
         if not all(w.is_rational for w in self.weights):
-            return super().limit_body(bound, depth)
+            # as for a diagonal: the irrational intercept 1/w_i is a vertex
+            raise NotNoetherian(f"{self.describe()} has an irrational limit body vertex")
         # the body {x >= 0 : sum_i w_i x_i >= 1} is the hull of the axis
         # intercepts 1/w_i plus the orthant
         cuts = [1 / w.as_fraction() for w in self.weights]
@@ -302,34 +301,19 @@ class TruncatedFiltration(Filtration):
     def _compute(self, n: int) -> MonomialIdeal:
         if n <= self.a:
             return self.base.ideal_at(n)
+        # fill the missing terms below n upwards, so that the recursion on
+        # n - k stays one level deep however large n is
+        low = n - 1
+        while low > self.a and low not in self._cache:
+            low -= 1
+        for m in range(low + 1, n):
+            self.ideal_at(m)
         total: MonomialIdeal | None = None
         for k in range(1, min(self.a, n - 1) + 1):
             part = product(self.base.ideal_at(k), self.ideal_at(n - k))
             total = part if total is None else ideal_sum(total, part)
         assert total is not None
         return total
-
-    def power_scale(self, bound: int, depth: int) -> int | None:
-        """The period check of quasi-polynomial fitting; exact limits use
-        ``limit_body`` instead.
-
-        For d = 1 the term at n is x^w(n), w the min-plus closure of the
-        base costs at parts <= a; any part size attaining the best density
-        cost(p)/p is a provably valid scale, since every partition costs at
-        least size * best-density.  Otherwise detection runs with its depth
-        boosted to reduce the risk of a spuriously small scale.
-        """
-        if self.dim == 1:
-            densities = [
-                Fraction(self.base.ideal_at(p).gens[0][0], p) for p in range(1, self.a + 1)
-            ]
-            return densities.index(min(densities)) + 1
-        for c in range(1, max(bound, self.a) + 1):
-            boosted = max(depth, -(-2 * self.a // c) + 1)
-            base = self.ideal_at(c)
-            if all(self.ideal_at(c * i) == power(base, i) for i in range(2, boosted + 1)):
-                return c
-        return None
 
     def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
         # a term past a sums products over parts k_i <= a, and
@@ -455,9 +439,8 @@ def detect_noetherian_scale(F: Filtration, bound: int, depth: int = 4) -> int | 
 
     This is evidence, not proof, of Noetherianity: a genuinely non-Noetherian
     filtration has no such a, but a spuriously small a can pass a finite
-    depth check.  Exact limits rest on it only for kinds with no closed-form
-    ``limit_body`` (tables and irrational valuations); otherwise it only
-    checks the period of a quasi-polynomial fit.
+    depth check.  Only the default ``Filtration.limit_body`` calls it, so
+    only tables, the one kind with no closed-form body, rest on it.
     """
     for a in range(1, bound + 1):
         base = F.ideal_at(a)

@@ -57,8 +57,8 @@ class ExactStrategy:
 
     ``multiplicity_method`` selects the engine on the summed body: "covolume"
     (d <= 3), "hilbert_samuel", or "auto" (covolume when available).  The
-    scale bound and depth only reach kinds whose body needs a detected
-    power-stability scale, and the period check of quasi-polynomial fits.
+    scale bound and depth only reach tables, the one kind whose body needs a
+    detected power-stability scale.
     """
 
     scale_bound: int = 24
@@ -484,8 +484,12 @@ def fit_quasi_polynomial(
 ) -> QuasiPolynomial:
     """Recover the eventual quasi-polynomial of n -> lam(R / prod I(j)_{n_j}).
 
-    For each residue class of the period alpha the colength function is
-    interpolated exactly on a tensor grid of large indices and validated at
+    The period alpha must be a multiple of each filtration's limit-body
+    denominator D, a proven period: 1 for powers, the vertex denominator of
+    a rational valuation or diagonal (Ehrhart), lcm(1..a) for a truncation
+    at a (its Rees algebra is generated in degrees <= a) and the detected
+    scale of a table; otherwise NotNoetherian is raised.  For each residue
+    class of alpha the colength function is interpolated exactly on a tensor grid of large indices and validated at
     two extra fresh samples; the start offset is pushed out until validation
     holds (the threshold where the quasi-polynomial begins is discovered
     empirically).  Raises DegreeMismatch when an interpolant does not have
@@ -498,11 +502,9 @@ def fit_quasi_polynomial(
     if alpha < 1:
         raise ValueError("period must be >= 1")
     for F in Fs:
-        s = F.power_scale(strategy.scale_bound, strategy.scale_depth)
-        if s is None or alpha % s != 0:
-            raise NotNoetherian(
-                f"{F.describe()}: no detected scale dividing the period {alpha}"
-            )
+        D = F.limit_body(strategy.scale_bound, strategy.scale_depth)[1]
+        if alpha % D != 0:
+            raise NotNoetherian(f"{F.describe()}: the period {alpha} is not a multiple of {D}")
     exponents = list(itertools.product(range(d + 1), repeat=r))
     class_coeffs: dict = {}
     for residue in itertools.product(range(alpha), repeat=r):

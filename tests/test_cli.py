@@ -487,6 +487,44 @@ def test_rational_valuation_multiplicity_is_exact(tmp_path, capsys, weights, mul
     assert check_report(out)["report"]["multiplicity"] == multiplicity
 
 
+# detection at the default depth 4 took the spurious scale 2 for weights
+# (1, sqrt 5) and reported the exact multiplicity 1/2; the truth is 1/sqrt 5
+SQRT5_VALUATION = {"kind": "valuation", "weights": ["1", {"p": "0", "q": "1", "s": 5}]}
+
+
+def test_irrational_valuation_has_no_exact_multiplicity(tmp_path, capsys):
+    spec = {"filtration": SQRT5_VALUATION}
+    code, out = run_cli(capsys, ["multiplicity", "--input", write(tmp_path, "a.json", spec)])
+    assert code == 1
+    assert check_report(out)["error"]["code"] == "NotNoetherian"
+    numeric = dict(spec, strategy={"kind": "numeric", "m_max": 32})
+    code, out = run_cli(capsys, ["multiplicity", "--input", write(tmp_path, "b.json", numeric)])
+    assert code == 0
+    assert check_report(out)["report"]["limit"]["exact"] is False
+
+
+def test_okounkov_irrational_valuation_falls_back_to_numeric(tmp_path, capsys):
+    spec = {"filtration": SQRT5_VALUATION, "m_max": 16}
+    code, out = run_cli(capsys, ["okounkov", "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    limit = check_report(out)["report"]["limit"]
+    assert limit["exact"] is False
+    assert abs(limit["value"] - 1 / (2 * 5**0.5)) < 1e-3
+
+
+def test_quasipoly_period_must_be_a_multiple_of_the_body_denominator(tmp_path, capsys):
+    # the body of (5/2, 2) has the intercepts 2/5 and 1/2, so D = 10; detection
+    # took the spurious scale 2, and period 2 fitted the top coefficient 1/8
+    spec = {"filtrations": [{"kind": "valuation", "weights": ["5/2", "2"]}], "period": 2}
+    code, out = run_cli(capsys, ["quasipoly", "--input", write(tmp_path, "a.json", spec)])
+    assert code == 1
+    assert check_report(out)["error"]["code"] == "NotNoetherian"
+    code, out = run_cli(capsys, ["quasipoly", "--input", write(tmp_path, "b.json", dict(spec, period=10))])
+    assert code == 0
+    for cls in check_report(out)["report"]["classes"]:
+        assert cls["coefficients"][0] == {"exponent": [2], "value": "1/10"}
+
+
 # SHA-256 of a d=3 truncated-valuation report, recorded while its exact
 # limits still came from detected power-stability scales (about a minute).
 TRUNCATED_VALUATION_D3_SHA256 = "fb936c769d208f0f67e8e6fa4209da49b8809aac29776388c5bb16b2e015ef92"
@@ -537,9 +575,12 @@ def test_exact_only_tasks_accept_an_exact_strategy(tmp_path, capsys, task):
 
 
 def test_quasipoly_uses_the_given_strategy(tmp_path, capsys):
-    # the valuation (1, 2) has scale 2, beyond a scale bound of 1
-    spec = dict(EXACT_ONLY_SPECS["quasipoly"], strategy={"kind": "exact", "scale_bound": 1})
-    code, out = run_cli(capsys, ["quasipoly", "--input", write(tmp_path, "p.json", spec)])
+    # the table x^ceil(n/2) has the detected scale 2, beyond a scale bound of 1
+    table = {"kind": "table", "ideals": [{"dim": 1, "gens": [[-(-n // 2)]]} for n in range(1, 17)]}
+    spec = {"filtrations": [table], "period": 2}
+    assert run_cli(capsys, ["quasipoly", "--input", write(tmp_path, "a.json", spec)])[0] == 0
+    bounded = dict(spec, strategy={"kind": "exact", "scale_bound": 1})
+    code, out = run_cli(capsys, ["quasipoly", "--input", write(tmp_path, "b.json", bounded)])
     assert code == 1
     assert check_report(out)["error"]["code"] == "NotNoetherian"
 

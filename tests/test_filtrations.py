@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from filtmult.errors import IndexOutOfTable, NotMPrimary, SpecValidationError
+from filtmult import filtrations
+from filtmult.errors import IndexOutOfTable, NotMPrimary, NotNoetherian, SpecValidationError
 from filtmult.filtrations import (
     CeilingNormMultiFiltration,
     DiagonalFiltration,
@@ -24,7 +25,12 @@ from filtmult.filtrations import (
     truncate,
     verify_filtration,
 )
-from filtmult.multiplicity import ExactStrategy, hilbert_samuel_multiplicity, limit_normalized_colength
+from filtmult.multiplicity import (
+    ExactStrategy,
+    fit_quasi_polynomial,
+    hilbert_samuel_multiplicity,
+    limit_normalized_colength,
+)
 from filtmult.quadratic import SQRT2, QuadraticIrrational
 from filtmult.staircase import maximal_ideal, minimalize, power, product, unit_ideal
 
@@ -129,6 +135,13 @@ def test_truncate_diag_sqrt2_dp_values():
             assert T.ideal_at(n).gens[0][0] == truncation_cost_oracle(base, a, n)
     # the level-2 truncation doubles in steps of 3: words of 1s and 2s
     assert truncate(F, 2).ideal_at(4).gens == ((6,),)
+
+
+def test_truncated_term_far_past_the_level_on_a_cold_cache():
+    # the period lcm(1..7) = 420 puts quasi-polynomial nodes past n = 3000
+    F = diag_sqrt2()
+    base = {p: F.ideal_at(p).gens[0][0] for p in range(1, 8)}
+    assert truncate(F, 7).ideal_at(5000).gens == ((truncation_cost_oracle(base, 7, 5000),),)
 
 
 def test_truncation_chain_containments():
@@ -297,20 +310,50 @@ def rational_diagonal(value: Fraction) -> DiagonalFiltration:
     return DiagonalFiltration([QuadraticIrrational.rational(value)])
 
 
-def test_power_scale_per_kind():
-    assert PowerFiltration(I2((3, 0), (1, 1), (0, 2))).power_scale(24, 4) == 1
-    assert rational_diagonal(Fraction(3, 2)).power_scale(24, 4) == 2
-    assert diag_sqrt2().power_scale(24, 4) is None
+m2, one = maximal_ideal(2), QuadraticIrrational.rational(1)
+
+
+def test_limit_body_per_kind():
+    I = I2((3, 0), (1, 1), (0, 2))
+    assert PowerFiltration(I).limit_body(24, 4) == (list(I.gens), 1)
+    assert rational_diagonal(Fraction(3, 2)).limit_body(24, 4) == ([(3,)], 2)
+    half = MonomialValuationFiltration([one, QuadraticIrrational.rational(Fraction(1, 2))])
+    assert half.limit_body(24, 4)[1] == 1
+    for F in (diag_sqrt2(), MonomialValuationFiltration([one, SQRT2])):
+        with pytest.raises(NotNoetherian):
+            F.limit_body(24, 4)
+    # x^ceil(n/2): the detected scale is 2, out of reach of the bound 1
+    table = TableFiltration([minimalize([(-(-n // 2),)], 1) for n in range(1, 17)])
+    assert table.limit_body(24, 4) == ([(1,)], 2)
+    with pytest.raises(NotNoetherian):
+        table.limit_body(1, 4)
+
+
+def test_irrational_bodies_raise_without_detection(monkeypatch):
+    def fail(*args):
+        raise AssertionError("scale detection ran")
+
+    monkeypatch.setattr(filtrations, "detect_noetherian_scale", fail)
+    three_halves = QuadraticIrrational.rational(Fraction(3, 2))
+    weights = [[one, QuadraticIrrational.sqrt(5)], [one, SQRT2, three_halves]]
+    for F in [diag_sqrt2()] + [MonomialValuationFiltration(w) for w in weights]:
+        with pytest.raises(NotNoetherian):
+            F.limit_body(24, 4)
 
 
 @pytest.mark.parametrize("a", [1, 2, 5, 7, 12])
 def test_power_scale_truncated_d1_is_density_argmin(a):
     F = truncate(diag_sqrt2(), a)
     # ceil(p*sqrt2) = isqrt(2p^2) + 1, since 2p^2 is never a square
-    expected = min(range(1, a + 1), key=lambda p: Fraction(math.isqrt(2 * p * p) + 1, p))
-    s = F.power_scale(1, 2)
-    assert s == expected
+    density = {p: Fraction(math.isqrt(2 * p * p) + 1, p) for p in range(1, a + 1)}
+    s = min(density, key=density.get)
     assert all(F.ideal_at(s * i) == power(F.ideal_at(s), i) for i in range(2, 6))
+    # the body's period lcm(1..a) fits; at a = 12 its 27,720 residue
+    # classes are too many for a unit test
+    L = math.lcm(*range(1, a + 1))
+    assert F.limit_body(24, 4)[1] == L
+    if L <= 420:
+        assert fit_quasi_polynomial([F], L).top_coefficients() == {(1,): density[s]}
 
 
 @st.composite
@@ -389,9 +432,6 @@ def scale_oracle_limit(Fs, n) -> Fraction:
     return Fraction(e, math.factorial(d) * a**d)
 
 
-m2, one = maximal_ideal(2), QuadraticIrrational.rational(1)
-
-
 # the last example's limit is wrong from its level-3 points alone
 @given(body_families())
 @example(([PointwiseProductFiltration(PowerFiltration(m2), ShiftedPowerFiltration(m2, 1))], [1]))
@@ -404,6 +444,35 @@ def test_limit_body_matches_detected_scale_oracle(family):
     assert limit_normalized_colength(Fs, n).value == expected
     hs = ExactStrategy(multiplicity_method="hilbert_samuel")
     assert limit_normalized_colength(Fs, n, hs).value == expected
+
+
+@st.composite
+def periodic_filtrations(draw):
+    """A filtration in d <= 2 whose body denominator is a proven period,
+    kept small so that a fit at twice that period stays cheap."""
+    kinds = ["power", "valuation", "diagonal", "truncated", "truncated_valuation"]
+    kind = draw(st.sampled_from(kinds))
+    ratio = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3))
+    if kind == "power":
+        return PowerFiltration(draw(m_primary_ideals(draw(st.integers(1, 2)), 3)))
+    if kind == "diagonal":
+        return rational_diagonal(draw(ratio))
+    if kind == "truncated":
+        rate = QuadraticIrrational.sqrt(draw(st.sampled_from([2, 3, 5])))
+        return truncate(DiagonalFiltration([rate]), draw(st.integers(1, 4)))
+    d = 2 if kind == "truncated_valuation" else draw(st.integers(1, 2))
+    weights = draw(st.lists(ratio, min_size=d, max_size=d))
+    F = MonomialValuationFiltration([QuadraticIrrational.rational(w) for w in weights])
+    return truncate(F, draw(st.integers(1, 3))) if kind == "truncated_valuation" else F
+
+
+@given(periodic_filtrations())
+@settings(max_examples=40, deadline=None)
+def test_quasi_polynomial_fits_at_the_body_period(F):
+    D = F.limit_body(24, 4)[1]
+    top = {(F.dim,): limit_normalized_colength([F], (1,)).value}
+    for alpha in (D, 2 * D):
+        assert fit_quasi_polynomial([F], alpha).top_coefficients() == top
 
 
 def valuation_box_scan(weights: list[QuadraticIrrational], n: int):

@@ -12,6 +12,7 @@ from filtmult.filtrations import (
     PointwiseProductFiltration,
     PowerFiltration,
     ShiftedPowerFiltration,
+    truncate,
 )
 from filtmult.multiplicity import (
     ExactStrategy,
@@ -363,6 +364,16 @@ def test_quasipoly_rejects_bad_period():
         fit_quasi_polynomial([F], alpha=1)
     with pytest.raises(NotNoetherian):
         fit_quasi_polynomial([DiagonalFiltration([SQRT2])], alpha=2)
+
+
+def test_quasipoly_truncation_period_is_lcm_of_parts():
+    # the densities 2, 3/2, 5/3 of the parts 1..3 make 2 a true period, but
+    # only lcm(1..3) = 6 is proven for every truncation at 3
+    F = truncate(DiagonalFiltration([SQRT2]), 3)
+    with pytest.raises(NotNoetherian):
+        fit_quasi_polynomial([F], alpha=2)
+    for alpha in (6, 12):
+        assert fit_quasi_polynomial([F], alpha).top_coefficients() == {(1,): Fraction(3, 2)}
 
 
 # -- cross-checks on non-power Noetherian inputs -------------------------------
