@@ -20,17 +20,13 @@ from .filtrations import (
     DiagonalFiltration,
     Filtration,
     MonomialValuationFiltration,
-    MultiFiltration,
     PointwiseProductFiltration,
     PowerFiltration,
-    ProductMultiFiltration,
     ShiftedPowerFiltration,
     TableFiltration,
     TruncatedFiltration,
-    TruncatedMultiFiltration,
     detect_noetherian_scale,
     filtration_from_json,
-    multifiltration_from_json,
     truncate,
     verify_filtration,
 )
@@ -43,7 +39,6 @@ from .multiplicity import (
     filtration_multiplicity,
     fit_quasi_polynomial,
     hilbert_samuel_multiplicity,
-    ideal_multiplicity,
     limit_normalized_colength,
     mixed_multiplicity_table,
     sample_points,
@@ -64,7 +59,6 @@ from .staircase import (
     MonomialIdeal,
     NewtonRegion,
     colength,
-    colength_bruteforce,
     contains,
     covolume,
     ideal_sum,

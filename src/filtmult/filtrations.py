@@ -459,63 +459,17 @@ def detect_noetherian_scale(F: Filtration, bound: int, depth: int = 4) -> int | 
 
 
 # ---------------------------------------------------------------------------
-# Multigraded filtrations
+# The multigraded counterexample
 
 
-class MultiFiltration:
-    """A multigraded filtration n = (n_1..n_r) -> I_n."""
+class CeilingNormMultiFiltration:
+    """(n_1..n_r) -> (x^ceil(sqrt(w_1 n_1^2 + ... + w_r n_r^2))) in d = 1.
 
-    kind = "abstract"
+    Its limit function sqrt(sum_j w_j n_j^2) is not a polynomial.  Each term
+    is one integer square root, so nothing is cached.
+    """
 
-    def __init__(self, dim: int, arity: int):
-        self.dim = dim
-        self.arity = arity
-        self._cache: dict[tuple[int, ...], MonomialIdeal] = {}
-
-    def ideal_at(self, n: tuple[int, ...]) -> MonomialIdeal:
-        n = tuple(n)
-        if len(n) != self.arity:
-            raise ArityMismatch(f"expected {self.arity} indices, got {len(n)}")
-        if any(v < 0 for v in n):
-            raise ValueError("indices must be >= 0")
-        if all(v == 0 for v in n):
-            return unit_ideal(self.dim)
-        found = self._cache.get(n)
-        if found is None:
-            found = self._compute(n)
-            self._cache[n] = found
-        return found
-
-    def _compute(self, n: tuple[int, ...]) -> MonomialIdeal:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-
-class ProductMultiFiltration(MultiFiltration):
-    """(n_1..n_r) -> I(1)_{n_1} * ... * I(r)_{n_r}."""
-
-    kind = "product"
-
-    def __init__(self, factors: list[Filtration]):
-        dims = {F.dim for F in factors}
-        if len(dims) != 1:
-            raise DimensionMismatch("product factors have mixed dimensions")
-        super().__init__(factors[0].dim, len(factors))
-        self.factors = tuple(factors)
-
-    def _compute(self, n: tuple[int, ...]) -> MonomialIdeal:
-        return product_at(self.factors, n)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "factors": [F.to_json() for F in self.factors]}
-
-
-class CeilingNormMultiFiltration(MultiFiltration):
-    """(n_1..n_r) -> (x^ceil(sqrt(w_1 n_1^2 + ... + w_r n_r^2))) in d = 1."""
-
-    kind = "ceiling_norm"
+    dim = 1
 
     def __init__(self, arity: int, weights: list[int] | None = None):
         if arity < 1:
@@ -523,51 +477,17 @@ class CeilingNormMultiFiltration(MultiFiltration):
         weights = list(weights) if weights is not None else [1] * arity
         if len(weights) != arity:
             raise ArityMismatch("one weight per slot")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive integers")
-        super().__init__(1, arity)
-        self.weights = tuple(weights)
+        self.arity = arity
+        self.weights = tuple(spec_int(w, "weights", 1) for w in weights)
 
-    def exponent_at(self, n: tuple[int, ...]) -> int:
-        return ceil_sqrt(sum(w * v * v for w, v in zip(self.weights, n)))
-
-    def _compute(self, n: tuple[int, ...]) -> MonomialIdeal:
-        return MonomialIdeal(1, ((self.exponent_at(n),),))
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "arity": self.arity, "weights": list(self.weights)}
-
-
-class TruncatedMultiFiltration(MultiFiltration):
-    """Multigraded analogue of truncation: indices with max(n) <= a copy the
-    base, larger ones are generated by sums of products of smaller terms."""
-
-    kind = "truncated_multi"
-
-    def __init__(self, base: MultiFiltration, a: int):
-        if a < 1:
-            raise ValueError("truncation level must be >= 1")
-        super().__init__(base.dim, base.arity)
-        self.base = base
-        self.a = a
-
-    def _compute(self, n: tuple[int, ...]) -> MonomialIdeal:
-        if max(n) <= self.a:
-            return self.base.ideal_at(n)
-        total: MonomialIdeal | None = None
-        for u in itertools.product(*(range(min(v, self.a) + 1) for v in n)):
-            if all(x == 0 for x in u):
-                continue
-            v = tuple(x - y for x, y in zip(n, u))
-            if all(x == 0 for x in v):
-                continue
-            part = product(self.ideal_at(u), self.ideal_at(v))
-            total = part if total is None else ideal_sum(total, part)
-        assert total is not None
-        return total
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "base": self.base.to_json(), "a": self.a}
+    def ideal_at(self, n: tuple[int, ...]) -> MonomialIdeal:
+        if len(n) != self.arity:
+            raise ArityMismatch(f"expected {self.arity} indices, got {len(n)}")
+        if any(v < 0 for v in n):
+            raise ValueError("indices must be >= 0")
+        if not any(n):
+            return unit_ideal(1)
+        return MonomialIdeal(1, ((ceil_sqrt(sum(w * v * v for w, v in zip(self.weights, n))),),))
 
 
 # ---------------------------------------------------------------------------
@@ -597,16 +517,3 @@ def filtration_from_json(data: dict) -> Filtration:
     if kind == "truncated":
         return TruncatedFiltration(filtration_from_json(data["base"]), spec_int(data["a"], "a", 1))
     raise SpecValidationError(f"unknown filtration kind {kind!r}")
-
-
-def multifiltration_from_json(data: dict) -> MultiFiltration:
-    kind = data.get("kind")
-    if kind == "product":
-        return ProductMultiFiltration([filtration_from_json(f) for f in data["factors"]])
-    if kind == "ceiling_norm":
-        return CeilingNormMultiFiltration(spec_int(data["arity"], "arity", 1), data.get("weights"))
-    if kind == "truncated_multi":
-        return TruncatedMultiFiltration(
-            multifiltration_from_json(data["base"]), spec_int(data["a"], "a", 1)
-        )
-    raise SpecValidationError(f"unknown multifiltration kind {kind!r}")

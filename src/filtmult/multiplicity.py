@@ -39,8 +39,7 @@ from .errors import (
 )
 from .filtrations import Filtration, body_sum, product_at, truncate
 from .geometry import covolume_from_gens
-from .staircase import (MonomialIdeal, colength, covolume, minimalize, newton_region, product,
-                        unit_ideal)
+from .staircase import MonomialIdeal, colength, minimalize, product, unit_ideal
 
 Exponent = tuple[int, ...]
 
@@ -168,17 +167,6 @@ def hilbert_samuel_multiplicity(I: MonomialIdeal, m_budget: int = 60) -> int:
         if target is None or diffs[-1] == target:
             return diffs[-1]
     raise BudgetExceeded(f"no stabilization within m <= {m_budget}")
-
-
-def ideal_multiplicity(I: MonomialIdeal, method: str = "auto", m_budget: int = 60) -> Fraction:
-    """e(I) as an exact Fraction, choosing the engine by ``method``."""
-    if method not in MULTIPLICITY_METHODS:
-        raise ValueError(f"unknown multiplicity method {method!r}")
-    if I.is_unit:
-        return Fraction(0)
-    if method == "hilbert_samuel" or (method == "auto" and I.dim > 3):
-        return Fraction(hilbert_samuel_multiplicity(I, m_budget))
-    return math.factorial(I.dim) * covolume(newton_region(I))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +397,7 @@ def truncation_convergence(
     r = len(Fs)
     if targets is None:
         targets = [tuple(d if i == 0 else 0 for i in range(r))]
-    targets = [tuple(t) for t in targets]
+    targets = [tuple(spec_int(v, "target entries", 0) for v in t) for t in targets]
     for t in targets:
         if len(t) != r or sum(t) != d:
             raise ValueError(f"target {t} is not a type of total degree {d}")
@@ -475,11 +463,14 @@ class QuasiPolynomial:
         }
 
 
+# start offsets tried per residue class before the fit gives up
+_FIT_RETRIES = 6
+
+
 def fit_quasi_polynomial(
     Fs: list[Filtration],
     alpha: int,
     window: int = 2,
-    max_retries: int = 6,
     strategy: ExactStrategy | None = None,
 ) -> QuasiPolynomial:
     """Recover the eventual quasi-polynomial of n -> lam(R / prod I(j)_{n_j}).
@@ -510,7 +501,7 @@ def fit_quasi_polynomial(
     for residue in itertools.product(range(alpha), repeat=r):
         k0 = max(window, 1)
         fitted = None
-        for _ in range(max_retries):
+        for _ in range(_FIT_RETRIES):
             grid = list(itertools.product(range(k0, k0 + d + 1), repeat=r))
             nodes = [tuple(alpha * k + b for k, b in zip(ks, residue)) for ks in grid]
             rows = [

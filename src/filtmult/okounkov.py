@@ -27,7 +27,6 @@ from .multiplicity import (
     ExactStrategy,
     LimitEstimate,
     NumericStrategy,
-    Strategy,
     limit_normalized_colength,
 )
 from .staircase import MonomialIdeal, colength
@@ -218,15 +217,14 @@ class OkounkovReport:
         }
 
 
-def volume_limit_check(
-    F: Filtration, m_max: int, strategy: Strategy | None = None
-) -> OkounkovReport:
+def volume_limit_check(F: Filtration, m_max: int) -> OkounkovReport:
     """Compare the body-volume difference at level m_max with the colength limit.
 
     The difference Vol(ambient body) - Vol(fiber body) approximates
     ``lim lam(R/I_m)/m^d`` from above (the fiber hull approximates its body
     from inside); the report records the absolute and relative gap and makes
-    no rate claim.
+    no rate claim.  The limit is exact when the limit body is rational and
+    numeric (schedule up to max(1024, m_max)) when it raises NotNoetherian.
     """
     if F.dim > 3:
         raise DimensionUnsupported("volume checks need d <= 3")
@@ -235,13 +233,10 @@ def volume_limit_check(
     vol_hat = ambient_body_volume(F.dim, m, beta)
     body = body_volume(F, m, beta)
     difference = vol_hat - body.volume
-    if strategy is None:
-        try:
-            limit = limit_normalized_colength([F], (1,), ExactStrategy())
-        except NotNoetherian:
-            limit = limit_normalized_colength([F], (1,), NumericStrategy(m_max=max(1024, m_max)))
-    else:
-        limit = limit_normalized_colength([F], (1,), strategy)
+    try:
+        limit = limit_normalized_colength([F], (1,), ExactStrategy())
+    except NotNoetherian:
+        limit = limit_normalized_colength([F], (1,), NumericStrategy(m_max=max(1024, m_max)))
     gap_abs = abs(float(difference) - float(limit.value))
     denom = float(limit.value) if limit.value else 1.0
     gap_rel = gap_abs / abs(denom)

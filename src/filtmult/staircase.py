@@ -10,15 +10,13 @@ the zero ideal is not representable.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry
 from .geometry import minimal_elements
-from .errors import (BudgetExceeded, DimensionMismatch, DimensionUnsupported, NotMPrimary,
-                     spec_int)
+from .errors import DimensionMismatch, DimensionUnsupported, NotMPrimary, spec_int
 
 Exponent = tuple[int, ...]
 
@@ -241,18 +239,6 @@ def _colength_rec(gens: list[Exponent], dim: int) -> int:
             continue
         total += (upper - z) * _colength_rec(slice_gens, dim - 1)
     return total
-
-
-def colength_bruteforce(I: MonomialIdeal, budget: int = 10**8) -> int:
-    """Reference implementation: scan the staircase box point by point."""
-    if not I.is_m_primary():
-        raise NotMPrimary(f"{I!r} is not m-primary")
-    caps = I.box()
-    volume = math.prod(max(c, 1) for c in caps)
-    if volume > budget:
-        raise BudgetExceeded(f"staircase box has {volume} points, budget is {budget}")
-    points = itertools.product(*(range(c) for c in caps))
-    return sum(1 for p in points if not any(dominates(p, g) for g in I.gens))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Executable property suites: Minkowski inequalities, the Rees identity,
-integrality invariance of multiplicities, and the multigraded
-non-polynomiality witness.
+integrality invariance of multiplicities, and the non-polynomiality witness
+of the ceiling-norm counterexample, whose limit function is a closed form.
 
 Pass/fail verdicts on exact data are decided in exact arithmetic; the d-th
 root comparison of the Minkowski product inequality avoids floating point by
@@ -19,26 +19,22 @@ from .errors import DimensionMismatch, SpecValidationError, spec_int
 from .filtrations import (
     CeilingNormMultiFiltration,
     Filtration,
-    MultiFiltration,
     PointwiseProductFiltration,
     PowerFiltration,
     ShiftedPowerFiltration,
 )
 from .multiplicity import (
     ExactStrategy,
-    NumericStrategy,
     Strategy,
     degree_monomials,
     filtration_multiplicity,
     mixed_multiplicity_table,
     monomial_matrix,
-    numeric_limit,
 )
 from . import linalg
 from .quadratic import QuadraticIrrational, ceil_sqrt
 from .staircase import (
     MonomialIdeal,
-    colength,
     integral_closure,
     maximal_ideal,
     minimalize,
@@ -406,38 +402,18 @@ class WitnessReport:
         }
 
 
-def _multigraded_limit(MF: MultiFiltration, point: tuple[int, ...], m_max: int):
-    """Normalized colength limit of a multigraded filtration at one point.
-
-    Ceiling-norm filtrations admit the exact value sqrt(sum w_j n_j^2); other
-    kinds use the geometric schedule heuristic.
-    """
-    if isinstance(MF, CeilingNormMultiFiltration):
-        radicand = sum(w * v * v for w, v in zip(MF.weights, point))
-        root = QuadraticIrrational.sqrt(radicand)
-        if root.is_rational:
-            return float(root.as_fraction()), 0.0, True
-        return float(root), 0.0, True
-    est = numeric_limit(
-        lambda m: colength(MF.ideal_at(tuple(m * v for v in point))),
-        MF.dim,
-        NumericStrategy(m_max=m_max),
-    )
-    return float(est.value), float(est.error_bound), False
-
-
 def non_polynomial_witness(
-    MF: MultiFiltration,
+    MF: CeilingNormMultiFiltration,
     points: list[tuple[int, ...]],
     degree: int,
     threshold: float = 0.05,
-    m_max: int = 4096,
 ) -> WitnessReport:
-    """Least-squares fit of a homogeneous form to the limit function.
+    """Least-squares fit of a homogeneous form to the limit function of a
+    ceiling-norm filtration.
 
-    A max residual above the threshold witnesses that no homogeneous
-    polynomial of the given degree matches the limit function on the sample
-    points.  For ceiling-norm filtrations the report also records both
+    The limit at n is exactly sqrt(sum_j w_j n_j^2).  A max residual above
+    the threshold witnesses that no homogeneous polynomial of the given
+    degree matches it on the sample points.  The report also records both
     closed-form candidates (the norm and its round-up), which agree exactly
     on points whose squared norm is a perfect square.
     """
@@ -454,18 +430,15 @@ def non_polynomial_witness(
     values = []
     witness_points = []
     for p in pts:
-        est, err, exact = _multigraded_limit(MF, p, m_max)
-        radicand = (
-            sum(w * v * v for w, v in zip(MF.weights, p))
-            if isinstance(MF, CeilingNormMultiFiltration)
-            else sum(v * v for v in p)
-        )
+        radicand = sum(w * v * v for w, v in zip(MF.weights, p))
+        root = QuadraticIrrational.sqrt(radicand)
+        est = float(root.as_fraction()) if root.is_rational else float(root)
         witness_points.append(
             WitnessPoint(
                 point=p,
                 estimate=est,
-                error_bound=err,
-                exact=exact,
+                error_bound=0.0,
+                exact=True,
                 sqrt_form=math.sqrt(radicand),
                 ceil_form=ceil_sqrt(radicand),
             )

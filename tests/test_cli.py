@@ -432,6 +432,12 @@ BAD_INTEGER_SPECS = {
     "okounkov-m_max": ("okounkov", {"filtration": TRUNCATED_SQRT2, "m_max": 8.5}),
     "demo-arity": ("multigraded-demo", {"arity": 2.0}),
     "demo-m_max": ("multigraded-demo", {"m_max": "64"}),
+    "demo-weights-bool": ("multigraded-demo", {"weights": [True, 1]}),
+    "demo-weights-float": ("multigraded-demo", {"weights": [2.5, 1]}),
+    "demo-weights-zero": ("multigraded-demo", {"weights": [0, 1]}),
+    "targets-bool": ("truncate-converge", dict(BHATTACHARYA, schedule=[1], targets=[[True, True]])),
+    "targets-float": ("truncate-converge", dict(BHATTACHARYA, schedule=[1], targets=[[1.0, 1]])),
+    "targets-negative": ("truncate-converge", dict(BHATTACHARYA, schedule=[1], targets=[[3, -1]])),
     "suite-count": ("integrality", {"suite": {"count": 2.2}}),
     "suite-count_d3": ("minkowski", {"suite": {"count_d2": 1, "count_d3": 0.5}}),
     "suite-count-zero": ("integrality", {"suite": {"count": 0}}),

@@ -7,20 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filtmult import filtrations
-from filtmult.errors import IndexOutOfTable, NotMPrimary, NotNoetherian, SpecValidationError
+from filtmult.errors import ArityMismatch, IndexOutOfTable, NotMPrimary, NotNoetherian, SpecValidationError
 from filtmult.filtrations import (
     CeilingNormMultiFiltration,
     DiagonalFiltration,
     MonomialValuationFiltration,
     PointwiseProductFiltration,
     PowerFiltration,
-    ProductMultiFiltration,
     ShiftedPowerFiltration,
     TableFiltration,
-    TruncatedMultiFiltration,
     detect_noetherian_scale,
     filtration_from_json,
-    multifiltration_from_json,
     product_at,
     truncate,
     verify_filtration,
@@ -240,12 +237,15 @@ def test_ceiling_norm_values():
     assert MF.ideal_at((0, 0)) == unit_ideal(1)
 
 
-def test_product_multifiltration():
-    I = I2((2, 0), (0, 1))
-    J = I2((1, 0), (0, 3))
-    MF = ProductMultiFiltration([PowerFiltration(I), PowerFiltration(J)])
-    assert MF.ideal_at((1, 1)) == product(I, J)
-    assert MF.ideal_at((2, 0)) == power(I, 2)
+def test_ceiling_norm_guards():
+    MF = CeilingNormMultiFiltration(2, [1, 3])
+    with pytest.raises(ArityMismatch):
+        MF.ideal_at((1,))
+    with pytest.raises(ValueError):
+        MF.ideal_at((-1, 0))
+    assert MF.ideal_at((0, 0)) == unit_ideal(1)
+    with pytest.raises(ArityMismatch):
+        CeilingNormMultiFiltration(2, [1, 2, 3])
 
 
 def test_multigraded_axioms_ceiling_norm():
@@ -256,16 +256,6 @@ def test_multigraded_axioms_ceiling_norm():
             left = product(MF.ideal_at(a), MF.ideal_at(b))
             right = MF.ideal_at(tuple(x + y for x, y in zip(a, b)))
             assert left.leq(right)
-
-
-def test_truncated_multifiltration():
-    MF = CeilingNormMultiFiltration(2)
-    TM = TruncatedMultiFiltration(MF, 2)
-    # agrees inside the truncation window
-    assert TM.ideal_at((2, 1)) == MF.ideal_at((2, 1))
-    # beyond: generated by products, hence contained in the original
-    for n in [(3, 0), (3, 3), (4, 1)]:
-        assert TM.ideal_at(n).leq(MF.ideal_at(n))
 
 
 # -- serialization ----------------------------------------------------------------------
@@ -289,18 +279,6 @@ def test_filtration_json_round_trips():
                 assert F.ideal_at(n) == G.ideal_at(n)
             except IndexOutOfTable:
                 break
-
-
-def test_multifiltration_json_round_trips():
-    examples = [
-        CeilingNormMultiFiltration(2),
-        ProductMultiFiltration([PowerFiltration(maximal_ideal(2))] * 2),
-        TruncatedMultiFiltration(CeilingNormMultiFiltration(2), 2),
-    ]
-    for MF in examples:
-        G = multifiltration_from_json(MF.to_json())
-        for n in [(0, 0), (1, 1), (2, 1)]:
-            assert MF.ideal_at(n) == G.ideal_at(n)
 
 
 # -- exact-evaluation hooks ----------------------------------------------------

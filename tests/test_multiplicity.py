@@ -21,7 +21,6 @@ from filtmult.multiplicity import (
     filtration_multiplicity,
     fit_quasi_polynomial,
     hilbert_samuel_multiplicity,
-    ideal_multiplicity,
     limit_normalized_colength,
     mixed_multiplicity_table,
     monomial_matrix,
@@ -79,8 +78,9 @@ def test_multiplicity_engines_agree_on_random_ideals():
     for _ in range(30):
         d = rng.choice([1, 2, 3])
         ideal = random_m_primary_ideal(rng, d, 5 if d == 3 else 8)
-        hs = ideal_multiplicity(ideal, "hilbert_samuel")
-        cov = ideal_multiplicity(ideal, "covolume")
+        F = PowerFiltration(ideal)
+        hs = filtration_multiplicity(F, ExactStrategy(multiplicity_method="hilbert_samuel"))
+        cov = filtration_multiplicity(F, ExactStrategy(multiplicity_method="covolume"))
         assert hs == cov
 
 

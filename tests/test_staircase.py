@@ -12,7 +12,6 @@ from filtmult.errors import DimensionMismatch, NotMPrimary, SpecValidationError
 from filtmult.staircase import (
     MonomialIdeal,
     colength,
-    colength_bruteforce,
     contains,
     covolume,
     ideal_sum,
@@ -29,6 +28,13 @@ from filtmult.staircase import (
 
 def I2(*gens):
     return minimalize(list(gens), 2)
+
+
+def colength_bruteforce(ideal: MonomialIdeal) -> int:
+    """Reference colength: scan the staircase box point by point."""
+    assert ideal.is_m_primary()
+    points = itertools.product(*(range(c) for c in ideal.box()))
+    return sum(1 for p in points if not any(all(x >= y for x, y in zip(p, g)) for g in ideal.gens))
 
 
 def oracle_colength(ideal: MonomialIdeal) -> int:

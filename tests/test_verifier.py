@@ -217,15 +217,10 @@ def test_witness_rejects_non_integer_points():
 
 
 def test_witness_linear_filtration_fits_perfectly():
-    # product of two power filtrations in d = 1 has an exactly linear limit,
-    # so the residual does not witness anything
-    from filtmult.filtrations import ProductMultiFiltration
-
-    F = PowerFiltration(minimalize([(2,)], 1))
-    G = PowerFiltration(minimalize([(3,)], 1))
-    MF = ProductMultiFiltration([F, G])
-    pts = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 4), (2, 3), (5, 12)]
-    report = non_polynomial_witness(MF, pts, 1, m_max=512)
+    # with one slot and weight 4 the limit is exactly 2n, so the residual
+    # does not witness anything
+    MF = CeilingNormMultiFiltration(1, [4])
+    report = non_polynomial_witness(MF, [(1,), (2,), (3,), (5,), (8,)], 1)
     assert report.max_residual < 0.05
     assert not report.witnessed
 
