@@ -25,7 +25,6 @@ from .filtrations import (
     ShiftedPowerFiltration,
     TableFiltration,
     TruncatedFiltration,
-    detect_noetherian_scale,
     filtration_from_json,
     truncate,
     verify_filtration,

@@ -67,8 +67,6 @@ def _strategy_from_json(data, budget: int | None) -> Strategy:
     kind = data.get("kind")
     if kind == "exact":
         return ExactStrategy(
-            scale_bound=_spec_int(data, "scale_bound", 24, 1),
-            scale_depth=_spec_int(data, "scale_depth", 4, 2),
             multiplicity_method=data.get("multiplicity_method", "auto"),
             hs_budget=_spec_int(data, "hs_budget", 60, 4),
         )
@@ -138,11 +136,10 @@ def _task_truncate_converge(spec, args):
 
 def _task_quasipoly(spec, args):
     Fs = _filtration_list(spec)
+    # the fit has no strategy to choose; the spec's is only validated
+    _exact_strategy(spec, args.budget)
     qp = fit_quasi_polynomial(
-        Fs,
-        spec_int(spec["period"], "period", 1),
-        window=_spec_int(spec, "window", 2, 1),
-        strategy=_exact_strategy(spec, args.budget),
+        Fs, spec_int(spec["period"], "period", 1), window=_spec_int(spec, "window", 2, 1)
     )
     return qp.to_json(), None
 

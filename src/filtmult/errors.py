@@ -37,8 +37,8 @@ class BudgetExceeded(FiltmultError):
 
 
 class NotNoetherian(FiltmultError):
-    """The limit body is irrational or no power-stability scale was detected,
-    or a period is not a multiple of the body's; the exact path cannot run."""
+    """The limit body has an irrational vertex, or a period is not a multiple
+    of the body's denominator; the exact path cannot run."""
 
     code = "NotNoetherian"
 

@@ -39,9 +39,10 @@ from .staircase import (
 class Filtration:
     """Base class; subclasses provide ``_compute(n)`` for n >= 1.
 
-    Every Noetherian fact comes from one hook, ``limit_body``: exact limits
-    are covolumes of its body, and its denominator is a proven period of the
-    colength quasi-polynomial.
+    Every Noetherian fact comes from one hook, ``limit_body``, which each kind
+    proves in closed form or by a complete finite check, or refuses: exact
+    limits are covolumes of its body, and its denominator is a proven period
+    of the colength quasi-polynomial.
     """
 
     kind = "abstract"
@@ -64,21 +65,12 @@ class Filtration:
     def _compute(self, n: int) -> MonomialIdeal:
         raise NotImplementedError
 
-    def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
+    def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
         """Integer points G and a denominator D such that conv(G/D) plus the
         orthant is the limit body, the closure of the union of the
         (1/m)*Newton(I_m); its covolume is lim lam(R/I_m)/m^d, and D is a
-        period of the colength quasi-polynomial.
-
-        Kinds without a closed form (tables) use (gens(I_a), a) at the scale
-        a from ``detect_noetherian_scale``.
-        """
-        a = detect_noetherian_scale(self, bound, depth)
-        if a is None:
-            raise NotNoetherian(
-                f"no power-stability scale detected for {self.describe()} (bound {bound})"
-            )
-        return list(self.ideal_at(a).gens), a
+        period of the colength quasi-polynomial."""
+        raise NotImplementedError
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -110,7 +102,7 @@ class PowerFiltration(Filtration):
             return product(self._cache[n - 1], self.ideal)
         return power(self.ideal, n)
 
-    def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
+    def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
         return list(self.ideal.gens), 1
 
     def to_json(self) -> dict:
@@ -170,7 +162,7 @@ class DiagonalFiltration(Filtration):
         e = self.rates[0].ceil_times(n)
         return MonomialIdeal(1, ((e,),))
 
-    def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
+    def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
         rate = self.rates[0]
         if not rate.is_rational:
             # theta is a vertex of the body, and a scale a would make the
@@ -237,7 +229,7 @@ class MonomialValuationFiltration(Filtration):
             points.append((*a, max(0, self._ceil_over(x, y, last))))
         return minimalize(points, self.dim)
 
-    def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
+    def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
         if not all(w.is_rational for w in self.weights):
             # as for a diagonal: the irrational intercept 1/w_i is a vertex
             raise NotNoetherian(f"{self.describe()} has an irrational limit body vertex")
@@ -256,7 +248,11 @@ class MonomialValuationFiltration(Filtration):
 
 
 class TableFiltration(Filtration):
-    """Explicitly stored ideals I_1..I_N; indexing past N is an error."""
+    """Explicitly stored ideals I_1..I_N; indexing past N is an error.
+
+    Its limits are those of the filtration the entries generate, the
+    truncation at N, once the entries pass the filtration axioms.
+    """
 
     kind = "table"
 
@@ -271,11 +267,22 @@ class TableFiltration(Filtration):
                 raise NotMPrimary("table entries must be m-primary")
         super().__init__(ideals[0].dim)
         self.ideals = tuple(ideals)
+        self._body: tuple[list[tuple[int, ...]], int] | None = None
 
     def _compute(self, n: int) -> MonomialIdeal:
         if n > len(self.ideals):
             raise IndexOutOfTable(f"table holds {len(self.ideals)} ideals, asked for {n}")
         return self.ideals[n - 1]
+
+    def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
+        if self._body is None:
+            N = len(self.ideals)
+            report = verify_filtration(self, N)
+            if not report.ok:
+                axiom, i, j = report.first_violation
+                raise SpecValidationError(f"table is not a filtration: {axiom} fails at ({i}, {j})")
+            self._body = TruncatedFiltration(self, N).limit_body()
+        return self._body
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "ideals": [I.to_json() for I in self.ideals]}
@@ -315,12 +322,23 @@ class TruncatedFiltration(Filtration):
         assert total is not None
         return total
 
-    def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
+    def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
         # a term past a sums products over parts k_i <= a, and
-        # (sum_i g_i) / (sum_i k_i) is a convex combination of the g_i / k_i
-        parts = range(1, self.a + 1)
-        L = math.lcm(*parts)
-        return [tuple(L // k * e for e in g) for k in parts for g in self.base.ideal_at(k).gens], L
+        # (sum_i g_i) / (sum_i k_i) is a convex combination of the g_i / k_i;
+        # a part whose generators all lie in products I_j * I_{k-j} adds no
+        # point, so the Rees algebra is generated in the remaining degrees K
+        # and lcm(K) is a period (Bruns-Herzog, Cohen-Macaulay Rings, 4.4).
+        # A product with j outside K lies in one with a smaller j, by
+        # multiplicativity, so only j in K need trying.
+        gens = {k: self.base.ideal_at(k).gens for k in range(1, self.a + 1)}
+        K: list[int] = []
+        for k, G in gens.items():
+            for x in G:
+                if not _in_lower_products(x, k, K, gens):
+                    K.append(k)
+                    break
+        L = math.lcm(*K)
+        return [tuple(L // k * e for e in g) for k in K for g in gens[k]], L
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "base": self.base.to_json(), "a": self.a}
@@ -348,8 +366,8 @@ class PointwiseProductFiltration(Filtration):
     def _compute(self, n: int) -> MonomialIdeal:
         return product(self.left.ideal_at(n), self.right.ideal_at(n))
 
-    def limit_body(self, bound: int, depth: int) -> tuple[list[tuple[int, ...]], int]:
-        return body_sum([F.limit_body(bound, depth) for F in (self.left, self.right)], (1, 1))
+    def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
+        return body_sum([F.limit_body() for F in (self.left, self.right)], (1, 1))
 
     def to_json(self) -> dict:
         return {
@@ -359,6 +377,17 @@ class PointwiseProductFiltration(Filtration):
 
     def describe(self) -> str:
         return f"({self.left.describe()})*({self.right.describe()})"
+
+
+def _in_lower_products(x, k: int, K: list[int], gens: dict) -> bool:
+    """True when some g + h with g in gens[j], h in gens[k - j] and j in K
+    divides x."""
+    for j in K:
+        for g in gens[j]:
+            for h in gens[k - j]:
+                if all(map(operator.le, map(operator.add, g, h), x)):
+                    return True
+    return False
 
 
 def truncate(base: Filtration, a: int) -> TruncatedFiltration:
@@ -385,7 +414,7 @@ def product_at(Fs, n) -> MonomialIdeal:
 
 
 # ---------------------------------------------------------------------------
-# Verification and Noetherian-scale detection
+# Verification
 
 
 @dataclass(frozen=True)
@@ -406,8 +435,7 @@ def verify_filtration(F: Filtration, N: int) -> VerificationReport:
     """Check the filtration axioms for all indices up to N.
 
     Violations are reported, not raised; the first failing pair is recorded
-    as (axiom, i, j).  Multiplicativity of I_i * I_j is tested on generator
-    sums directly, without materializing the product ideal.
+    as (axiom, i, j).
     """
     checked = 0
     try:
@@ -418,13 +446,8 @@ def verify_filtration(F: Filtration, N: int) -> VerificationReport:
         for i in range(1, N):
             for j in range(i, N - i + 1):
                 checked += 1
-                target = F.ideal_at(i + j)
-                for g in F.ideal_at(i).gens:
-                    for h in F.ideal_at(j).gens:
-                        if not target.contains(tuple(x + y for x, y in zip(g, h))):
-                            return VerificationReport(
-                                False, checked, ("multiplicative", i, j)
-                            )
+                if not product(F.ideal_at(i), F.ideal_at(j)).leq(F.ideal_at(i + j)):
+                    return VerificationReport(False, checked, ("multiplicative", i, j))
         for n in range(1, N + 1):
             checked += 1
             if not F.ideal_at(n).is_m_primary():
@@ -432,30 +455,6 @@ def verify_filtration(F: Filtration, N: int) -> VerificationReport:
     except IndexOutOfTable:
         pass
     return VerificationReport(True, checked)
-
-
-def detect_noetherian_scale(F: Filtration, bound: int, depth: int = 4) -> int | None:
-    """Smallest a <= bound with I_{a*i} = I_a^i for 2 <= i <= depth.
-
-    This is evidence, not proof, of Noetherianity: a genuinely non-Noetherian
-    filtration has no such a, but a spuriously small a can pass a finite
-    depth check.  Only the default ``Filtration.limit_body`` calls it, so
-    only tables, the one kind with no closed-form body, rest on it.
-    """
-    for a in range(1, bound + 1):
-        base = F.ideal_at(a)
-        ok = True
-        for i in range(2, depth + 1):
-            try:
-                if F.ideal_at(a * i) != power(base, i):
-                    ok = False
-                    break
-            except IndexOutOfTable:
-                ok = False
-                break
-        if ok:
-            return a
-    return None
 
 
 # ---------------------------------------------------------------------------

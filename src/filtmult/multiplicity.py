@@ -52,16 +52,14 @@ MULTIPLICITY_METHODS = ("auto", "covolume", "hilbert_samuel")
 
 @dataclass(frozen=True)
 class ExactStrategy:
-    """Evaluate limits exactly through the filtrations' limit bodies.
+    """Evaluate limits exactly through the filtrations' limit bodies, each
+    proven in closed form or by a complete finite check.
 
     ``multiplicity_method`` selects the engine on the summed body: "covolume"
-    (d <= 3), "hilbert_samuel", or "auto" (covolume when available).  The
-    scale bound and depth only reach tables, the one kind whose body needs a
-    detected power-stability scale.
+    (d <= 3), "hilbert_samuel", or "auto" (covolume when available);
+    ``hs_budget`` bounds the powers the Hilbert-Samuel engine may take.
     """
 
-    scale_bound: int = 24
-    scale_depth: int = 4
     multiplicity_method: str = "auto"
     hs_budget: int = 60
 
@@ -219,7 +217,7 @@ def limit_normalized_colength(
     if isinstance(strategy, NumericStrategy):
         return numeric_limit(lambda m: colength(product_at(Fs, [m * v for v in n])), d, strategy)
 
-    bodies = [F.limit_body(strategy.scale_bound, strategy.scale_depth) for F, _ in active]
+    bodies = [F.limit_body() for F, _ in active]
     points, D = body_sum(bodies, [v for _, v in active])
     if d <= 3 and strategy.multiplicity_method != "hilbert_samuel":
         value = covolume_from_gens(points, d) / D**d
@@ -467,33 +465,28 @@ class QuasiPolynomial:
 _FIT_RETRIES = 6
 
 
-def fit_quasi_polynomial(
-    Fs: list[Filtration],
-    alpha: int,
-    window: int = 2,
-    strategy: ExactStrategy | None = None,
-) -> QuasiPolynomial:
+def fit_quasi_polynomial(Fs: list[Filtration], alpha: int, window: int = 2) -> QuasiPolynomial:
     """Recover the eventual quasi-polynomial of n -> lam(R / prod I(j)_{n_j}).
 
     The period alpha must be a multiple of each filtration's limit-body
     denominator D, a proven period: 1 for powers, the vertex denominator of
-    a rational valuation or diagonal (Ehrhart), lcm(1..a) for a truncation
-    at a (its Rees algebra is generated in degrees <= a) and the detected
-    scale of a table; otherwise NotNoetherian is raised.  For each residue
-    class of alpha the colength function is interpolated exactly on a tensor grid of large indices and validated at
-    two extra fresh samples; the start offset is pushed out until validation
-    holds (the threshold where the quasi-polynomial begins is discovered
-    empirically).  Raises DegreeMismatch when an interpolant does not have
-    total degree d, TopCoefficientDrift when the top coefficients differ
-    across classes; both signal a bug or an invalid period input.
+    a rational valuation or diagonal (Ehrhart), and lcm(K) for a truncation
+    or a table, whose Rees algebra is generated in the degrees K; otherwise
+    NotNoetherian is raised.  For each residue class of alpha the colength
+    function is interpolated exactly on a tensor grid of large indices and
+    validated at two extra fresh samples; the start offset is pushed out
+    until validation holds (the threshold where the quasi-polynomial begins
+    is discovered empirically).  Raises DegreeMismatch when an interpolant
+    does not have total degree d, TopCoefficientDrift when the top
+    coefficients differ across classes; both signal a bug or an invalid
+    period input.
     """
-    strategy = strategy if strategy is not None else ExactStrategy()
     d = _validate_family(Fs)
     r = len(Fs)
     if alpha < 1:
         raise ValueError("period must be >= 1")
     for F in Fs:
-        D = F.limit_body(strategy.scale_bound, strategy.scale_depth)[1]
+        D = F.limit_body()[1]
         if alpha % D != 0:
             raise NotNoetherian(f"{F.describe()}: the period {alpha} is not a multiple of {D}")
     exponents = list(itertools.product(range(d + 1), repeat=r))

@@ -319,7 +319,7 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
         raise DimensionUnsupported("integral closure uses Newton facets, needs d <= 3")
     if I.is_unit:
         return I
-    region = newton_region(I)
+    ineqs = geometry.newton_inequalities(list(I.gens), I.dim)
     caps = []
     for i in range(I.dim):
         pure = I.pure_power(i)
@@ -327,7 +327,7 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     points = [
         p
         for p in itertools.product(*(range(c + 1) for c in caps))
-        if region.member(p)
+        if geometry.satisfies_inequalities(p, ineqs)
     ]
     points.extend(I.gens)
     return minimalize(points, I.dim)

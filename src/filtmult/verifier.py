@@ -318,18 +318,14 @@ def rees_identity_check(
 # Integrality invariance
 
 
-def integrality_check(
-    Iprime: MonomialIdeal, strategy: Strategy | None = None, seed: int = 0
-) -> InequalityReport:
+def integrality_check(Iprime: MonomialIdeal) -> InequalityReport:
     """Passing to the integral closure preserves the multiplicity of the
     power filtration; the converse direction genuinely fails and is reported
-    as information, not as a failure."""
-    strategy = strategy if strategy is not None else ExactStrategy()
+    as information, not as a failure.  Every multiplicity is exact."""
     closure = integral_closure(Iprime)
-    e_prime = filtration_multiplicity(PowerFiltration(Iprime), strategy)
-    e_closure = filtration_multiplicity(PowerFiltration(closure), strategy)
-    exact = isinstance(strategy, ExactStrategy)
-    passed = e_prime == e_closure if exact else abs(float(e_prime) - float(e_closure)) < 1e-9
+    e_prime = filtration_multiplicity(PowerFiltration(Iprime))
+    e_closure = filtration_multiplicity(PowerFiltration(closure))
+    passed = e_prime == e_closure
     records = [
         InequalityRecord(
             name="closure_multiplicity",
@@ -344,8 +340,8 @@ def integrality_check(
     d = Iprime.dim
     Fm = PowerFiltration(maximal_ideal(d))
     Fshift = ShiftedPowerFiltration(maximal_ideal(d), 1)
-    e_m = filtration_multiplicity(Fm, strategy)
-    e_shift = filtration_multiplicity(Fshift, strategy)
+    e_m = filtration_multiplicity(Fm)
+    e_shift = filtration_multiplicity(Fshift)
     context = {
         "closure_gens": [list(g) for g in closure.gens],
         "converse_demo": {
@@ -355,7 +351,7 @@ def integrality_check(
             "filtrations_differ": Fm.ideal_at(1) != Fshift.ideal_at(1),
         },
     }
-    return InequalityReport(tuple(records), passed, exact, context)
+    return InequalityReport(tuple(records), passed, True, context)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +561,7 @@ def integrality_suite(
         dim, inst_seed = job
         rng = random.Random(inst_seed)
         ideal = random_m_primary_ideal(rng, dim, max_exp if dim == 2 else max(3, max_exp - 2))
-        report = integrality_check(ideal, ExactStrategy())
+        report = integrality_check(ideal)
         return {
             "seed": inst_seed,
             "case": f"integrality_d{dim}",

@@ -407,8 +407,8 @@ def test_power_chain_report_bytes_pinned(tmp_path, capsys, name):
     [
         {"kind": "exact", "multiplicity_method": "hilbert-samuel"},
         {"kind": "numeric", "m_max": 8.7},
-        {"kind": "exact", "scale_bound": 24.0},
-        {"kind": "exact", "scale_depth": 1},
+        {"kind": "exact", "hs_budget": 24.0},
+        {"kind": "exact", "hs_budget": 3},
         {"kind": "numeric", "m0": True},
     ],
 )
@@ -477,7 +477,7 @@ def test_exit_code_2_on_budget_below_the_field_minimum(tmp_path, capsys, name):
 @pytest.mark.parametrize(
     "weights, multiplicity",
     [
-        # a detected scale would be 25, past the default scale_bound 24
+        # a scale search bounded by 24 would miss the scale 25
         (["1", "25"], "1/25"),
         # detection at the default depth 4 took the spurious scale 2 and
         # reported 1/4 and 1/8
@@ -559,7 +559,7 @@ EXACT_ONLY_SPECS = {
         {"kind": "numeric", "m_max": "bogus"},
         {"kind": "numeric"},
         {"kind": "exact", "multiplicity_method": "bogus"},
-        {"kind": "exact", "scale_bound": 0},
+        {"kind": "exact", "hs_budget": 0},
     ],
 )
 @pytest.mark.parametrize("task", sorted(EXACT_ONLY_SPECS))
@@ -580,15 +580,24 @@ def test_exact_only_tasks_accept_an_exact_strategy(tmp_path, capsys, task):
     assert run_cli(capsys, [task, "--input", write(tmp_path, "b.json", explicit)]) == (0, default)
 
 
-def test_quasipoly_uses_the_given_strategy(tmp_path, capsys):
-    # the table x^ceil(n/2) has the detected scale 2, beyond a scale bound of 1
-    table = {"kind": "table", "ideals": [{"dim": 1, "gens": [[-(-n // 2)]]} for n in range(1, 17)]}
-    spec = {"filtrations": [table], "period": 2}
-    assert run_cli(capsys, ["quasipoly", "--input", write(tmp_path, "a.json", spec)])[0] == 0
-    bounded = dict(spec, strategy={"kind": "exact", "scale_bound": 1})
-    code, out = run_cli(capsys, ["quasipoly", "--input", write(tmp_path, "b.json", bounded)])
-    assert code == 1
-    assert check_report(out)["error"]["code"] == "NotNoetherian"
+HALF_TABLE = {"kind": "table", "ideals": [{"dim": 1, "gens": [[-(-n // 2)]]} for n in range(1, 17)]}
+
+
+def test_quasipoly_fits_a_table_at_the_period_it_generates(tmp_path, capsys):
+    # x^ceil(n/2) is generated in the degrees 1 and 2, so 2 is a proven period
+    spec = {"filtrations": [HALF_TABLE], "period": 2}
+    code, out = run_cli(capsys, ["quasipoly", "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    for cls in check_report(out)["report"]["classes"]:
+        assert cls["coefficients"][0] == {"exponent": [1], "value": "1/2"}
+
+
+def test_table_that_is_not_a_filtration_exits_2(tmp_path, capsys):
+    # x * x is not in (x^3), so the entries generate no filtration to measure
+    table = {"kind": "table", "ideals": [{"dim": 1, "gens": [[1]]}, {"dim": 1, "gens": [[3]]}]}
+    code, out = run_cli(capsys, ["multiplicity", "--input", write(tmp_path, "p.json", {"filtration": table})])
+    assert code == 2
+    assert check_report(out)["error"]["code"] == "SpecValidationError"
 
 
 # SHA-256 of reports at --seed 3 recorded while linalg.solve, monomial

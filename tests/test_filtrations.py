@@ -16,12 +16,12 @@ from filtmult.filtrations import (
     PowerFiltration,
     ShiftedPowerFiltration,
     TableFiltration,
-    detect_noetherian_scale,
     filtration_from_json,
     product_at,
     truncate,
     verify_filtration,
 )
+from filtmult.geometry import covolume_from_gens
 from filtmult.multiplicity import (
     ExactStrategy,
     fit_quasi_polynomial,
@@ -135,7 +135,7 @@ def test_truncate_diag_sqrt2_dp_values():
 
 
 def test_truncated_term_far_past_the_level_on_a_cold_cache():
-    # the period lcm(1..7) = 420 puts quasi-polynomial nodes past n = 3000
+    # a fit at the period 420 puts quasi-polynomial nodes past n = 3000
     F = diag_sqrt2()
     base = {p: F.ideal_at(p).gens[0][0] for p in range(1, 8)}
     assert truncate(F, 7).ideal_at(5000).gens == ((truncation_cost_oracle(base, 7, 5000),),)
@@ -194,7 +194,31 @@ def test_verify_table_violation():
     assert report.first_violation == ("multiplicative", 1, 1)
 
 
-# -- Noetherian scale detection -----------------------------------------------------
+# -- Noetherian scale detection (a test oracle) ---------------------------------------
+
+
+def detect_noetherian_scale(F, bound: int, depth: int = 4) -> int | None:
+    """Smallest a <= bound with I_{a*i} = I_a^i for 2 <= i <= depth.
+
+    This is evidence, not proof, of Noetherianity: a genuinely non-Noetherian
+    filtration has no such a, but a spuriously small a can pass a finite
+    depth check.  The oracle below calls it at a depth past every truncation
+    level it meets.
+    """
+    for a in range(1, bound + 1):
+        base = F.ideal_at(a)
+        ok = True
+        for i in range(2, depth + 1):
+            try:
+                if F.ideal_at(a * i) != power(base, i):
+                    ok = False
+                    break
+            except IndexOutOfTable:
+                ok = False
+                break
+        if ok:
+            return a
+    return None
 
 
 def test_detect_scale_power():
@@ -291,47 +315,112 @@ def rational_diagonal(value: Fraction) -> DiagonalFiltration:
 m2, one = maximal_ideal(2), QuadraticIrrational.rational(1)
 
 
+def half_table(N: int) -> TableFiltration:
+    """The N entries of x^ceil(n/2), generated in the degrees 1 and 2."""
+    return TableFiltration([minimalize([(-(-n // 2),)], 1) for n in range(1, N + 1)])
+
+
 def test_limit_body_per_kind():
     I = I2((3, 0), (1, 1), (0, 2))
-    assert PowerFiltration(I).limit_body(24, 4) == (list(I.gens), 1)
-    assert rational_diagonal(Fraction(3, 2)).limit_body(24, 4) == ([(3,)], 2)
+    assert PowerFiltration(I).limit_body() == (list(I.gens), 1)
+    assert rational_diagonal(Fraction(3, 2)).limit_body() == ([(3,)], 2)
     half = MonomialValuationFiltration([one, QuadraticIrrational.rational(Fraction(1, 2))])
-    assert half.limit_body(24, 4)[1] == 1
+    assert half.limit_body()[1] == 1
     for F in (diag_sqrt2(), MonomialValuationFiltration([one, SQRT2])):
         with pytest.raises(NotNoetherian):
-            F.limit_body(24, 4)
-    # x^ceil(n/2): the detected scale is 2, out of reach of the bound 1
-    table = TableFiltration([minimalize([(-(-n // 2),)], 1) for n in range(1, 17)])
-    assert table.limit_body(24, 4) == ([(1,)], 2)
-    with pytest.raises(NotNoetherian):
-        table.limit_body(1, 4)
+            F.limit_body()
+    # a table takes the body of the filtration it generates: here (x) in
+    # both degrees K = {1, 2}, so D = 2, and a short table is enough
+    assert half_table(16).limit_body() == ([(2,), (1,)], 2)
+    assert half_table(2).limit_body() == ([(2,), (1,)], 2)
+    assert TableFiltration([minimalize([(1,)], 1), minimalize([(2,)], 1)]).limit_body() == ([(1,)], 1)
+    # x * x is not in (x^3): no filtration, so no body
+    with pytest.raises(SpecValidationError, match="multiplicative"):
+        TableFiltration([minimalize([(1,)], 1), minimalize([(3,)], 1)]).limit_body()
 
 
-def test_irrational_bodies_raise_without_detection(monkeypatch):
-    def fail(*args):
-        raise AssertionError("scale detection ran")
+def test_table_body_is_computed_once(monkeypatch):
+    table = half_table(6)
+    body = table.limit_body()
+    monkeypatch.setattr(filtrations, "verify_filtration", None)
+    assert table.limit_body() is body
 
-    monkeypatch.setattr(filtrations, "detect_noetherian_scale", fail)
+
+def test_irrational_bodies_raise_without_detection():
     three_halves = QuadraticIrrational.rational(Fraction(3, 2))
     weights = [[one, QuadraticIrrational.sqrt(5)], [one, SQRT2, three_halves]]
     for F in [diag_sqrt2()] + [MonomialValuationFiltration(w) for w in weights]:
         with pytest.raises(NotNoetherian):
-            F.limit_body(24, 4)
+            F.limit_body()
+
+
+def diagonal_generating_degrees(exponents: dict[int, int]) -> list[int]:
+    """The parts k whose exponent e_k beats every split e_j + e_{k-j}: in
+    d = 1 these are the degrees that generate the truncation's Rees algebra."""
+    return [k for k in exponents if all(exponents[j] + exponents[k - j] > exponents[k] for j in range(1, k))]
 
 
 @pytest.mark.parametrize("a", [1, 2, 5, 7, 12])
 def test_power_scale_truncated_d1_is_density_argmin(a):
     F = truncate(diag_sqrt2(), a)
     # ceil(p*sqrt2) = isqrt(2p^2) + 1, since 2p^2 is never a square
-    density = {p: Fraction(math.isqrt(2 * p * p) + 1, p) for p in range(1, a + 1)}
+    exponents = {p: math.isqrt(2 * p * p) + 1 for p in range(1, a + 1)}
+    density = {p: Fraction(e, p) for p, e in exponents.items()}
     s = min(density, key=density.get)
     assert all(F.ideal_at(s * i) == power(F.ideal_at(s), i) for i in range(2, 6))
-    # the body's period lcm(1..a) fits; at a = 12 its 27,720 residue
-    # classes are too many for a unit test
-    L = math.lcm(*range(1, a + 1))
-    assert F.limit_body(24, 4)[1] == L
-    if L <= 420:
-        assert fit_quasi_polynomial([F], L).top_coefficients() == {(1,): density[s]}
+    # the body's period is the lcm of the generating degrees
+    L = math.lcm(*diagonal_generating_degrees(exponents))
+    assert F.limit_body()[1] == L
+    assert fit_quasi_polynomial([F], L).top_coefficients() == {(1,): density[s]}
+
+
+def test_sqrt2_truncated_at_12_fits_at_period_84():
+    # a fit at lcm(1..12) = 27,720 takes half a minute; the generating
+    # degrees {1, 2, 7, 12} give 84, and so do all levels up to 20
+    exponents = {p: math.isqrt(2 * p * p) + 1 for p in range(1, 21)}
+    assert diagonal_generating_degrees({p: exponents[p] for p in range(1, 13)}) == [1, 2, 7, 12]
+    F = truncate(diag_sqrt2(), 12)
+    assert F.limit_body()[1] == 84
+    assert truncate(diag_sqrt2(), 20).limit_body()[1] == 84
+    assert fit_quasi_polynomial([F], 84).top_coefficients() == {(1,): Fraction(17, 12)}
+
+
+def full_truncation_body(F) -> tuple[list[tuple[int, ...]], int]:
+    """The union over every part k <= a of (1/k) * gens(I_k), over lcm(1..a):
+    the truncation's body before the generating degrees are picked out."""
+    L = math.lcm(*range(1, F.a + 1))
+    return [tuple(L // k * e for e in g) for k in range(1, F.a + 1) for g in F.base.ideal_at(k).gens], L
+
+
+@st.composite
+def truncations(draw):
+    """A truncation at a <= 8 of a sqrt(s) diagonal or of a rational or
+    Q(sqrt s) valuation in d <= 3."""
+    s = draw(st.sampled_from([2, 3, 5, 7]))
+    if draw(st.booleans()):
+        base = DiagonalFiltration([QuadraticIrrational.sqrt(s)])
+    else:
+        d = draw(st.integers(1, 3))
+        rational = st.builds(QuadraticIrrational.rational, small_fractions(1, 4, 2))
+        irrational = st.builds(
+            lambda p, q: QuadraticIrrational(p, q, s), small_fractions(0, 2, 2), st.sampled_from([1, Fraction(1, 2)])
+        )
+        base = MonomialValuationFiltration(draw(st.lists(st.one_of(rational, irrational), min_size=d, max_size=d)))
+    return truncate(base, draw(st.integers(1, 8 if base.dim < 3 else 4)))
+
+
+@given(truncations())
+@settings(max_examples=30, deadline=None)
+def test_truncation_body_keeps_the_full_covolume_at_a_period_of_lcm_k(F):
+    (G, D), (H, L) = F.limit_body(), full_truncation_body(F)
+    d = F.dim
+    assert L % D == 0
+    volume = covolume_from_gens(G, d) / D**d
+    assert volume == covolume_from_gens(H, d) / L**d
+    # in d = 2 a period in the hundreds (a = 8 reaches 280) makes the fit
+    # take seconds, and in d = 3 every fit does
+    if d == 1 or (d == 2 and F.a <= 4):
+        assert fit_quasi_polynomial([F], D).top_coefficients() == {(d,): volume}
 
 
 @st.composite
@@ -447,7 +536,7 @@ def periodic_filtrations(draw):
 @given(periodic_filtrations())
 @settings(max_examples=40, deadline=None)
 def test_quasi_polynomial_fits_at_the_body_period(F):
-    D = F.limit_body(24, 4)[1]
+    D = F.limit_body()[1]
     top = {(F.dim,): limit_normalized_colength([F], (1,)).value}
     for alpha in (D, 2 * D):
         assert fit_quasi_polynomial([F], alpha).top_coefficients() == top

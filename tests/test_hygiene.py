@@ -1,7 +1,8 @@
-"""Import hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module, and
+every parameter a function takes is read in its body.
 
-The package ``__init__`` is skipped, since its imports are the public
-re-exports.
+The package ``__init__`` is skipped for imports, since its imports are the
+public re-exports.
 """
 
 import ast
@@ -11,6 +12,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "filtmult"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -52,3 +54,49 @@ def test_module_uses_every_import(module):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def is_abstract(func: ast.FunctionDef) -> bool:
+    """A body that is only ``raise NotImplementedError``, after any docstring."""
+    body = func.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def handler_names(tree: ast.Module) -> set[str]:
+    """The task handlers listed in a module-level ``_HANDLERS`` dict, which
+    all take the same ``(spec, args)``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_HANDLERS" for t in node.targets
+        ):
+            return {v.id for v in node.value.values if isinstance(v, ast.Name)}
+    return set()
+
+
+def unread_parameters(tree: ast.Module) -> dict[str, list[str]]:
+    handlers = handler_names(tree)
+    unread = {}
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or is_abstract(func):
+            continue
+        a = func.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        exempt = {"self", "cls"} | ({"spec", "args"} if func.name in handlers else set())
+        read = {n.id for stmt in func.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        missing = [p for p in params if p not in exempt and p not in read]
+        if missing:
+            unread[f"{func.name}:{func.lineno}"] = missing
+    return unread
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_functions_read_every_parameter(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    unread = unread_parameters(tree)
+    assert not unread, f"{module} has parameters its functions never read: {unread}"

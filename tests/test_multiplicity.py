@@ -367,12 +367,14 @@ def test_quasipoly_rejects_bad_period():
 
 
 def test_quasipoly_truncation_period_is_lcm_of_parts():
-    # the densities 2, 3/2, 5/3 of the parts 1..3 make 2 a true period, but
-    # only lcm(1..3) = 6 is proven for every truncation at 3
+    # the exponents 2, 3, 5 of the parts 1..3 have 5 = 2 + 3, so the part 3
+    # adds no generator to the Rees algebra: K = {1, 2} and the proven
+    # period is lcm(K) = 2, while 3 is not a multiple of it
     F = truncate(DiagonalFiltration([SQRT2]), 3)
+    assert F.limit_body()[1] == 2
     with pytest.raises(NotNoetherian):
-        fit_quasi_polynomial([F], alpha=2)
-    for alpha in (6, 12):
+        fit_quasi_polynomial([F], alpha=3)
+    for alpha in (2, 6, 12):
         assert fit_quasi_polynomial([F], alpha).top_coefficients() == {(1,): Fraction(3, 2)}
 
 
