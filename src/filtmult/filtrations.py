@@ -267,6 +267,7 @@ class TableFiltration(Filtration):
                 raise NotMPrimary("table entries must be m-primary")
         super().__init__(ideals[0].dim)
         self.ideals = tuple(ideals)
+        self._violation: tuple | None = None
         self._body: tuple[list[tuple[int, ...]], int] | None = None
 
     def _compute(self, n: int) -> MonomialIdeal:
@@ -274,14 +275,19 @@ class TableFiltration(Filtration):
             raise IndexOutOfTable(f"table holds {len(self.ideals)} ideals, asked for {n}")
         return self.ideals[n - 1]
 
+    def check(self) -> None:
+        """Raise ``SpecValidationError`` unless the entries pass the filtration
+        axioms; they are verified once per instance."""
+        if self._violation is None:
+            self._violation = verify_filtration(self, len(self.ideals)).first_violation or ()
+        if self._violation:
+            axiom, i, j = self._violation
+            raise SpecValidationError(f"table is not a filtration: {axiom} fails at ({i}, {j})")
+
     def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
         if self._body is None:
-            N = len(self.ideals)
-            report = verify_filtration(self, N)
-            if not report.ok:
-                axiom, i, j = report.first_violation
-                raise SpecValidationError(f"table is not a filtration: {axiom} fails at ({i}, {j})")
-            self._body = TruncatedFiltration(self, N).limit_body()
+            # the truncation checks this table first
+            self._body = TruncatedFiltration(self, len(self.ideals)).limit_body()
         return self._body
 
     def to_json(self) -> dict:
@@ -322,6 +328,12 @@ class TruncatedFiltration(Filtration):
         assert total is not None
         return total
 
+    def check(self) -> None:
+        """Raise ``SpecValidationError`` when a table under this truncation,
+        directly or through further truncations, is not a filtration."""
+        if isinstance(self.base, (TableFiltration, TruncatedFiltration)):
+            self.base.check()
+
     def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
         # a term past a sums products over parts k_i <= a, and
         # (sum_i g_i) / (sum_i k_i) is a convex combination of the g_i / k_i;
@@ -330,6 +342,7 @@ class TruncatedFiltration(Filtration):
         # and lcm(K) is a period (Bruns-Herzog, Cohen-Macaulay Rings, 4.4).
         # A product with j outside K lies in one with a smaller j, by
         # multiplicativity, so only j in K need trying.
+        self.check()
         gens = {k: self.base.ideal_at(k).gens for k in range(1, self.a + 1)}
         K: list[int] = []
         for k, G in gens.items():

@@ -4,9 +4,9 @@ Everything here works over integers / ``Fraction``; there is no floating
 point anywhere on a decision path.  The polyhedra that occur are Newton
 polyhedra ``conv(G) + R^d_{>=0}`` of monomial ideals and convex hulls of
 semigroup fibers.  Newton polyhedra are described by their supporting
-planes through generators, and their covolumes are sums of origin cones
-over compact facets, so no vertex enumeration is needed; only the hulls of
-small fiber point clouds use a brute-force facet scan.
+planes through generators.  Covolumes and 3D hull volumes are both sums of
+origin cones over facets found among planes through point triples, so no
+vertex enumeration is needed.
 """
 
 from __future__ import annotations
@@ -62,13 +62,9 @@ def _cross2(o: Point, a: Point, b: Point):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def lower_left_chain(points: list[Point]) -> list[Point]:
-    """Convex chain bounding ``conv(points) + orthant`` toward the origin.
-
-    The input is reduced to an antichain first; the chain is returned sorted
-    by increasing first coordinate (second coordinate strictly decreasing).
-    """
-    pts = minimal_elements(points)
+def _monotone_chain(pts) -> list[Point]:
+    """The chain through points in sorted order that turns strictly left at
+    every inner vertex (Andrew's monotone chain)."""
     chain: list[Point] = []
     for p in pts:
         while len(chain) >= 2 and _cross2(chain[-2], chain[-1], p) <= 0:
@@ -77,35 +73,27 @@ def lower_left_chain(points: list[Point]) -> list[Point]:
     return chain
 
 
+def lower_left_chain(points: list[Point]) -> list[Point]:
+    """Convex chain bounding ``conv(points) + orthant`` toward the origin.
+
+    The input is reduced to an antichain first; the chain is returned sorted
+    by increasing first coordinate (second coordinate strictly decreasing).
+    """
+    return _monotone_chain(minimal_elements(points))
+
+
 def convex_hull_2d(points: list[Point]) -> list[Point]:
     """Full convex hull (counterclockwise, no repeated endpoint)."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    return _monotone_chain(pts)[:-1] + _monotone_chain(reversed(pts))[:-1]
 
 
 def polygon_area(vertices: list[Point]) -> Fraction:
     """Area of the polygon with the given vertex cycle (either orientation)."""
     twice = sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(vertices, [*vertices[1:], *vertices[:1]]))
     return abs(Fraction(twice)) / 2
-
-
-def hull_area(points: list[Point]) -> Fraction:
-    hull = convex_hull_2d(points)
-    if len(hull) < 3:
-        return Fraction(0)
-    return polygon_area(hull)
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +125,14 @@ def _cross3(u, v):
 def _plane_through(a, b, c):
     """Normal of the plane through three 3D points, or (0, 0, 0) if collinear.
 
-    The sign is flipped so a normal with no positive component comes out
-    nonnegative.
+    The sign is chosen so the first nonzero component is positive; a normal
+    with no positive component thus comes out nonnegative.
     """
     normal = _cross3(
         (b[0] - a[0], b[1] - a[1], b[2] - a[2]),
         (c[0] - a[0], c[1] - a[1], c[2] - a[2]),
     )
-    if all(v <= 0 for v in normal):
+    if normal < (0, 0, 0):
         return (-normal[0], -normal[1], -normal[2])
     return normal
 
@@ -218,150 +206,67 @@ def satisfies_inequalities(point, ineqs) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact 3D hull volumes
+# Volumes and covolumes: sums of origin cones over facets
 
 
-def _ordered_face_cycle(face: list[Point]) -> list[Point]:
-    """Boundary cycle of a coplanar 3D point set (interior points dropped).
+def _cone_sum_3d(pts: list[tuple[int, int, int]], compact: bool) -> Fraction:
+    """Sum of ``b * T / (6 |n_k|)`` over the facets ``<n, y> >= b`` of ``conv(pts)``.
 
-    The set is projected onto the two coordinates complementary to the
-    largest normal component; the 2D convex hull there gives the cyclic
-    order exactly.
+    ``T`` is twice the area of the facet projected along an axis k with
+    ``n_k != 0``, so each term is the signed volume of the cone from the
+    origin over the facet.  By the divergence theorem the sum over all
+    facets is minus the volume of ``conv(pts)``; a flat cloud is tight on
+    both sides of its plane, and its two terms cancel.  With ``compact``
+    only strictly positive normals count, and the sum is the covolume of
+    ``conv(pts) + orthant`` (see ``covolume_from_gens``).  ``pts`` are
+    distinct integer points; each plane through three of them is taken
+    once, with a primitive normal whose first nonzero entry is positive,
+    before any support scan.
     """
-    a = face[0]
-    normal = (0, 0, 0)
-    for b, c in itertools.combinations(face[1:], 2):
-        u = tuple(Fraction(b[t]) - Fraction(a[t]) for t in range(3))
-        v = tuple(Fraction(c[t]) - Fraction(a[t]) for t in range(3))
-        normal = _cross3(u, v)
-        if any(x != 0 for x in normal):
-            break
-    if all(x == 0 for x in normal):
-        return []
-    drop = max(range(3), key=lambda t: abs(normal[t]))
-    keep = [t for t in range(3) if t != drop]
-    projected = {}
-    for p in face:
-        projected[(Fraction(p[keep[0]]), Fraction(p[keep[1]]))] = p
-    cycle2d = convex_hull_2d(list(projected))
-    if len(cycle2d) < 3:
-        return []
-    return [projected[q] for q in cycle2d]
-
-
-def _volume_from_faces(verts: list[Point], faces: list[list[Point]]) -> Fraction:
-    """Sum of tetrahedra over fan-triangulated faces, apex at the centroid."""
-    if len(verts) < 4:
-        return Fraction(0)
-    interior = tuple(sum(Fraction(p[t]) for p in verts) / len(verts) for t in range(3))
-    seen: set[tuple] = set()
-    volume = Fraction(0)
-    for face in faces:
-        if len(face) < 3:
-            continue
-        cycle = _ordered_face_cycle(face)
-        if len(cycle) < 3:
-            continue
-        key = tuple(sorted(cycle))
-        if key in seen:
-            continue
-        seen.add(key)
-        anchor = cycle[0]
-        for p, q in zip(cycle[1:], cycle[2:]):
-            e1 = tuple(Fraction(p[t]) - interior[t] for t in range(3))
-            e2 = tuple(Fraction(q[t]) - interior[t] for t in range(3))
-            e3 = tuple(Fraction(anchor[t]) - interior[t] for t in range(3))
-            det = (
-                e1[0] * (e2[1] * e3[2] - e2[2] * e3[1])
-                - e1[1] * (e2[0] * e3[2] - e2[2] * e3[0])
-                + e1[2] * (e2[0] * e3[1] - e2[1] * e3[0])
-            )
-            volume += abs(det)
-    return volume / 6
-
-
-def hull_volume_3d(points: list[Point]) -> Fraction:
-    """Exact volume of the convex hull of a 3D rational point cloud.
-
-    Brute-force facet scan, meant for small clouds (tens of points).
-    """
-    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
-    if len(pts) < 4:
-        return Fraction(0)
-    faces: dict[tuple, set[Point]] = {}
-    for a, b, c in itertools.combinations(pts, 3):
-        u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-        v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-        normal = _cross3(u, v)
-        if normal == (0, 0, 0):
-            continue
-        offset = sum(x * y for x, y in zip(normal, a))
-        above = below = False
-        for p in pts:
-            val = sum(x * y for x, y in zip(normal, p))
-            if val > offset:
-                above = True
-            elif val < offset:
-                below = True
-            if above and below:
-                break
-        if above and below:
-            continue
-        if above:
-            normal = tuple(-x for x in normal)
-            offset = -offset
-        denom = 1
-        for x in (*normal, offset):
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in (*normal, offset)]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        key = tuple(x // g for x in ints)
-        if key not in faces:
-            faces[key] = {
-                p for p in pts if sum(x * y for x, y in zip(normal, p)) == offset
-            }
-    return _volume_from_faces(pts, [sorted(f) for f in faces.values()])
-
-
-def hull_volume(points: list[Point], dim: int) -> Fraction:
-    """Exact volume of conv(points) for dim <= 3."""
-    if dim == 1:
-        vals = [Fraction(p[0]) for p in points]
-        return max(vals) - min(vals) if vals else Fraction(0)
-    if dim == 2:
-        return hull_area(points)
-    if dim == 3:
-        return hull_volume_3d(points)
-    raise DimensionUnsupported(f"exact hull volume needs d <= 3, got d = {dim}")
-
-
-# ---------------------------------------------------------------------------
-# Covolume: volume of (orthant \ Newton polyhedron)
-
-
-def _covolume_3d(pts: list[tuple[int, int, int]]) -> Fraction:
-    """Sum of the origin cones over the compact facets of ``conv(pts) + orthant``."""
     total = Fraction(0)
     seen: set = set()
     for a, b, c in itertools.combinations(pts, 3):
         normal = _plane_through(a, b, c)
-        if normal[0] <= 0 or normal[1] <= 0 or normal[2] <= 0:
+        if compact:
+            if normal[0] <= 0 or normal[1] <= 0 or normal[2] <= 0:
+                continue
+        elif normal == (0, 0, 0):
             continue
         offset = normal[0] * a[0] + normal[1] * a[1] + normal[2] * a[2]
         normal, offset = _normalize_ineq(normal, offset)
         if (normal, offset) in seen:
             continue
         seen.add((normal, offset))
-        if not _supports(normal, offset, pts):
-            continue
         n0, n1, n2 = normal
-        tight = [(g[0], g[1]) for g in pts if n0 * g[0] + n1 * g[1] + n2 * g[2] == offset]
+        side = _supports(normal, offset, pts)
+        if not compact:
+            side -= _supports((-n0, -n1, -n2), -offset, pts)
+        if not side:
+            continue
+        k = 2 if n2 else 1 if n1 else 0
+        # the two coordinates other than k, in cyclic order
+        tight = [(g[k - 2], g[k - 1]) for g in pts if n0 * g[0] + n1 * g[1] + n2 * g[2] == offset]
         hull = convex_hull_2d(tight)
         twice_area = sum(_cross2(hull[0], p, q) for p, q in zip(hull[1:], hull[2:]))
-        total += Fraction(offset * twice_area, 6 * n2)
+        total += Fraction(side * offset * twice_area, 6 * abs(normal[k]))
     return total
+
+
+def hull_volume_3d(points: list[tuple[int, int, int]]) -> Fraction:
+    """Exact volume of the convex hull of a 3D integer point cloud."""
+    return -_cone_sum_3d(sorted(set(points)), False)
+
+
+def hull_volume(points: list[tuple[int, ...]], dim: int) -> Fraction:
+    """Exact volume of conv(points) for integer points and dim <= 3."""
+    if dim == 1:
+        vals = [p[0] for p in points]
+        return Fraction(max(vals) - min(vals) if vals else 0)
+    if dim == 2:
+        return polygon_area(convex_hull_2d(points))
+    if dim == 3:
+        return hull_volume_3d(points)
+    raise DimensionUnsupported(f"exact hull volume needs d <= 3, got d = {dim}")
 
 
 def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
@@ -402,4 +307,4 @@ def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
     if dim == 2:
         polygon = [(0, 0)] + lower_left_chain(pts)
         return polygon_area(polygon)
-    return _covolume_3d(pts)
+    return _cone_sum_3d(pts, True)

@@ -592,12 +592,40 @@ def test_quasipoly_fits_a_table_at_the_period_it_generates(tmp_path, capsys):
         assert cls["coefficients"][0] == {"exponent": [1], "value": "1/2"}
 
 
+# x * x is not in (x^3), so the entries generate no filtration to measure
+NOT_A_FILTRATION = {"kind": "table", "ideals": [{"dim": 1, "gens": [[1]]}, {"dim": 1, "gens": [[3]]}]}
+
+
 def test_table_that_is_not_a_filtration_exits_2(tmp_path, capsys):
-    # x * x is not in (x^3), so the entries generate no filtration to measure
-    table = {"kind": "table", "ideals": [{"dim": 1, "gens": [[1]]}, {"dim": 1, "gens": [[3]]}]}
-    code, out = run_cli(capsys, ["multiplicity", "--input", write(tmp_path, "p.json", {"filtration": table})])
+    spec = {"filtration": NOT_A_FILTRATION}
+    code, out = run_cli(capsys, ["multiplicity", "--input", write(tmp_path, "p.json", spec)])
     assert code == 2
     assert check_report(out)["error"]["code"] == "SpecValidationError"
+
+
+@pytest.mark.parametrize(
+    "task, spec",
+    [
+        ("multiplicity", {"filtration": {"kind": "truncated", "a": 2, "base": NOT_A_FILTRATION}}),
+        ("truncate-converge", {"filtrations": [NOT_A_FILTRATION], "schedule": [1, 2]}),
+    ],
+    ids=["multiplicity", "truncate-converge"],
+)
+def test_truncated_table_that_is_not_a_filtration_exits_2(tmp_path, capsys, task, spec):
+    code, out = run_cli(capsys, [task, "--input", write(tmp_path, "p.json", spec)])
+    assert code == 2
+    error = check_report(out)["error"]
+    assert error["code"] == "SpecValidationError"
+    assert "multiplicative fails at (1, 1)" in error["message"]
+
+
+def test_okounkov_on_the_d3_maximal_ideal(tmp_path, capsys):
+    spec = {"filtration": _power([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "m_max": 4}
+    code, out = run_cli(capsys, ["okounkov", "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    report = check_report(out)["report"]
+    assert (report["m"], report["vol_body"], report["difference"]) == (4, "7/6", "1/6")
+    assert report["limit"] == {"exact": True, "strategy": "exact_noetherian", "value": "1/6"}
 
 
 # SHA-256 of reports at --seed 3 recorded while linalg.solve, monomial

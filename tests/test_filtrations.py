@@ -346,6 +346,19 @@ def test_table_body_is_computed_once(monkeypatch):
     assert table.limit_body() is body
 
 
+def test_truncated_table_takes_the_table_verdict_once(monkeypatch):
+    # x * x is not in (x^3)
+    table = TableFiltration([minimalize([(1,)], 1), minimalize([(3,)], 1)])
+    calls = []
+    verify = filtrations.verify_filtration
+    monkeypatch.setattr(filtrations, "verify_filtration", lambda F, N: calls.append(N) or verify(F, N))
+    for F in (truncate(table, 1), truncate(truncate(table, 2), 3), table):
+        with pytest.raises(SpecValidationError, match=r"multiplicative fails at \(1, 1\)"):
+            F.limit_body()
+    assert calls == [2]
+    assert truncate(half_table(4), 2).limit_body() == ([(2,), (1,)], 2)
+
+
 def test_irrational_bodies_raise_without_detection():
     three_halves = QuadraticIrrational.rational(Fraction(3, 2))
     weights = [[one, QuadraticIrrational.sqrt(5)], [one, SQRT2, three_halves]]

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from filtmult.geometry import (
     convex_hull_2d,
     covolume_from_gens,
-    hull_area,
     hull_volume,
     hull_volume_3d,
     lower_left_chain,
@@ -28,7 +28,71 @@ def test_lower_left_chain_filters_non_extreme():
 
 def test_hull_area_square_with_interior_noise():
     pts = [(0, 0), (4, 0), (0, 4), (4, 4)] + [(1, 2), (2, 2), (3, 1)]
-    assert hull_area(pts) == 16
+    assert hull_volume(pts, 2) == 16
+
+
+def _cross3(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _ordered_face_cycle(face):
+    """Boundary cycle of a coplanar 3D point set, from its 2D hull in the
+    projection along the largest normal component."""
+    a = face[0]
+    normal = (0, 0, 0)
+    for b, c in itertools.combinations(face[1:], 2):
+        normal = _cross3([b[t] - a[t] for t in range(3)], [c[t] - a[t] for t in range(3)])
+        if any(normal):
+            break
+    if not any(normal):
+        return []
+    drop = max(range(3), key=lambda t: abs(normal[t]))
+    keep = [t for t in range(3) if t != drop]
+    projected = {(p[keep[0]], p[keep[1]]): p for p in face}
+    cycle2d = convex_hull_2d(list(projected))
+    return [projected[q] for q in cycle2d] if len(cycle2d) >= 3 else []
+
+
+def hull_volume_oracle(points):
+    """Volume of a 3D hull by a Fraction facet scan: classify every point
+    triple against every point, then fan-triangulate each face cycle from the
+    centroid.  Quartic, and independent of the origin-cone kernel."""
+    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    if len(pts) < 4:
+        return Fraction(0)
+    faces = {}
+    for a, b, c in itertools.combinations(pts, 3):
+        normal = _cross3([b[t] - a[t] for t in range(3)], [c[t] - a[t] for t in range(3)])
+        if not any(normal):
+            continue
+        offset = sum(x * y for x, y in zip(normal, a))
+        vals = [sum(x * y for x, y in zip(normal, p)) for p in pts]
+        if min(vals) < offset < max(vals):
+            continue
+        if max(vals) > offset:
+            normal, offset = tuple(-x for x in normal), -offset
+        ints = [int(x) for x in (*normal, offset)]
+        g = 0
+        for x in ints:
+            g = gcd(g, abs(x))
+        key = tuple(x // g for x in ints)
+        if key not in faces:
+            faces[key] = sorted(p for p in pts if sum(x * y for x, y in zip(normal, p)) == offset)
+    interior = tuple(sum(p[t] for p in pts) / len(pts) for t in range(3))
+    seen = set()
+    volume = Fraction(0)
+    for face in faces.values():
+        cycle = _ordered_face_cycle(face)
+        key = tuple(sorted(cycle))
+        if len(cycle) < 3 or key in seen:
+            continue
+        seen.add(key)
+        e3 = [cycle[0][t] - interior[t] for t in range(3)]
+        for p, q in zip(cycle[1:], cycle[2:]):
+            e1 = [p[t] - interior[t] for t in range(3)]
+            e2 = [q[t] - interior[t] for t in range(3)]
+            volume += abs(sum(x * y for x, y in zip(e1, _cross3(e2, e3))))
+    return volume / 6
 
 
 def test_hull_volume_3d_reference_shapes():
@@ -51,13 +115,57 @@ def test_hull_volume_3d_degenerate():
     assert hull_volume_3d([(0, 0, 0), (1, 0, 0), (0, 1, 0)]) == 0
     coplanar = [(x, y, x + y) for x in range(3) for y in range(3)]
     assert hull_volume_3d(coplanar) == 0
+    assert hull_volume_3d([]) == hull_volume_3d([(1, 2, 3)]) == 0
+    assert hull_volume_3d([(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)]) == 0
+
+
+COORD8 = st.integers(0, 8)
+
+
+@st.composite
+def clouds_3d(draw):
+    """Integer clouds of up to 25 points: general, coplanar, collinear, with
+    duplicates, or a sheared box whose facets hold many points and have
+    normals of mixed sign; fewer than four points included."""
+    shape = draw(st.sampled_from(["general", "coplanar", "collinear", "duplicates", "box"]))
+    if shape == "general":
+        return draw(st.lists(st.tuples(COORD8, COORD8, COORD8), max_size=25))
+    if shape == "box":
+        p, q, r = draw(st.tuples(*[st.integers(1, 4)] * 3))
+        box = [(x, y, z) for x in (0, p) for y in (0, q) for z in (0, r)]
+        box += draw(st.lists(st.tuples(st.integers(0, p), st.integers(0, q), st.integers(0, r)), max_size=17))
+        a, b, c = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+        return [(x, y + a * x, z + b * x + c * y) for x, y, z in box]
+    if shape == "duplicates":
+        base = draw(st.lists(st.tuples(COORD8, COORD8, COORD8), min_size=1, max_size=8))
+        picks = draw(st.lists(st.integers(0, len(base) - 1), max_size=17))
+        return base + [base[i] for i in picks]
+    if shape == "collinear":
+        start = draw(st.tuples(COORD8, COORD8, COORD8))
+        step = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+        ts = draw(st.lists(st.integers(0, 4), max_size=25))
+        return [tuple(x + t * s for x, s in zip(start, step)) for t in ts]
+    # a plane z = a x + b y + c, with the axes permuted
+    a, b, c = draw(st.integers(-2, 2)), draw(st.integers(-2, 2)), draw(COORD8)
+    perm = draw(st.permutations(range(3)))
+    flat = [(x, y, a * x + b * y + c) for x, y in draw(st.lists(st.tuples(COORD8, COORD8), max_size=25))]
+    return [tuple(p[perm[t]] for t in range(3)) for p in flat]
+
+
+@given(clouds_3d())
+@settings(max_examples=200, deadline=None)
+def test_hull_volume_3d_matches_face_cycle_oracle(points):
+    volume = hull_volume_3d(points)
+    assert volume == hull_volume_oracle(points) == hull_volume(points, 3)
+    assert type(volume) is Fraction
 
 
 def _covolume_oracle(gens):
     """Box volume minus the hull of the generators pushed out to the caps.
 
     ``(conv G + R^3_+) & [0, caps] = conv{g with any subset of coordinates
-    set to its cap}`` for minimal G, so this needs only ``hull_volume_3d``.
+    set to its cap}`` for minimal G, so this needs only a hull volume, taken
+    from the oracle so that the covolume kernel never checks itself.
     """
     pts = minimal_elements(gens)
     caps = [min(g[i] for g in pts if all(g[j] == 0 for j in range(3) if j != i)) for i in range(3)]
@@ -66,7 +174,7 @@ def _covolume_oracle(gens):
         for g in pts
         for mask in itertools.product((False, True), repeat=3)
     }
-    return caps[0] * caps[1] * caps[2] - hull_volume_3d(list(lifted))
+    return caps[0] * caps[1] * caps[2] - hull_volume_oracle(list(lifted))
 
 
 def _random_primary_3d(rng, max_exp, extra):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every parameter a function takes is read in its body.
+"""Source hygiene: every name a module imports is used in that module, every
+parameter a function takes is read in its body, and every private
+module-level function or class is referenced somewhere in the package.
 
 The package ``__init__`` is skipped for imports, since its imports are the
 public re-exports.
@@ -100,3 +101,31 @@ def test_functions_read_every_parameter(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     unread = unread_parameters(tree)
     assert not unread, f"{module} has parameters its functions never read: {unread}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions and classes whose names start with ``_``."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+    }
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names read as variables, imported, or reached as attributes."""
+    names = used_names(tree) | set(imported_names(tree))
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_every_private_definition_is_referenced():
+    trees = {m: ast.parse((PACKAGE / m).read_text(encoding="utf-8")) for m in ALL_MODULES}
+    referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
+    unreferenced = {
+        f"{module}:{name}:{line}"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in referenced
+    }
+    assert not unreferenced, f"private definitions that no module references: {sorted(unreferenced)}"

@@ -173,9 +173,9 @@ def power_fibers(draw):
     caps = [draw(st.integers(1, 4)) for _ in range(d)]
     gens = [tuple(c if j == i else 0 for j in range(d)) for i, c in enumerate(caps)]
     gens += draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=3))
-    # the d=3 hull scan is quartic in the fiber size, so keep d=3 fibers small
-    m = draw(st.integers(1, 4 if d < 3 else 3))
-    beta = draw(st.integers(1, 3 if d < 3 else 3 // m))
+    m = draw(st.integers(1, 4))
+    # a d=3 fiber at m * beta = 12 has up to 182 points and takes seconds
+    beta = draw(st.integers(1, 3 if d < 3 or m < 4 else 2))
     return PowerFiltration(minimalize(gens, d)), m, beta
 
 
