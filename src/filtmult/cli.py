@@ -61,15 +61,20 @@ def _spec_int(data: dict, key: str, default: int, minimum: int, budget: int | No
     return value if budget is None else spec_int(budget, "--budget", minimum)
 
 
+# Accepted and checked for existing specs; the dimension picks the engine.
+MULTIPLICITY_METHODS = ("auto", "covolume", "hilbert_samuel")
+
+
 def _strategy_from_json(data, budget: int | None) -> Strategy:
     if data is None:
         return ExactStrategy()
     kind = data.get("kind")
     if kind == "exact":
-        return ExactStrategy(
-            multiplicity_method=data.get("multiplicity_method", "auto"),
-            hs_budget=_spec_int(data, "hs_budget", 60, 4),
-        )
+        hs_budget = _spec_int(data, "hs_budget", 60, 4)
+        method = data.get("multiplicity_method", "auto")
+        if method not in MULTIPLICITY_METHODS:
+            raise SpecValidationError(f"unknown multiplicity method {method!r}")
+        return ExactStrategy(hs_budget)
     if kind == "numeric":
         return NumericStrategy(
             m_max=_spec_int(data, "m_max", 4096, 2, budget), m0=_spec_int(data, "m0", 1, 1)

@@ -9,12 +9,12 @@ Theory 2013; Kaveh-Khovanskii, Proc. Steklov Inst. 2014); a numeric
 strategy extrapolates colengths instead.  Mixed multiplicities are the
 normalized coefficients of that polynomial.
 
-Two exact engines are available for the multiplicity of a single monomial
-ideal: the definitional Hilbert-Samuel route (d-th finite differences of
-colengths of powers, which stabilize exactly) and d! times the Newton-region
-covolume (d <= 3).  They agree on all inputs; the covolume route is the fast
-path inside large verification suites and is cross-checked by the
-Hilbert-Samuel route in the test suite.
+The dimension picks the exact engine on the summed body.  For d <= 3 the
+limit is its covolume.  For d >= 4, where no covolume kernel exists, it is
+e / (d! D^d) with e read off a plateau of the d-th finite differences of
+colengths of powers (the Hilbert-Samuel route), which is a heuristic.  The
+test suite checks the covolume against a target-free finite-difference
+oracle of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (
     ExhaustedRetries,
     NotMPrimary,
     NotNoetherian,
-    SpecValidationError,
     TopCoefficientDrift,
     spec_int,
 )
@@ -47,29 +46,19 @@ Exponent = tuple[int, ...]
 # ---------------------------------------------------------------------------
 # Strategies
 
-MULTIPLICITY_METHODS = ("auto", "covolume", "hilbert_samuel")
-
-
 @dataclass(frozen=True)
 class ExactStrategy:
     """Evaluate limits exactly through the filtrations' limit bodies, each
     proven in closed form or by a complete finite check.
 
-    ``multiplicity_method`` selects the engine on the summed body: "covolume"
-    (d <= 3), "hilbert_samuel", or "auto" (covolume when available);
-    ``hs_budget`` bounds the powers the Hilbert-Samuel engine may take.
+    The dimension picks the engine on the summed body: the covolume for
+    d <= 3, the Hilbert-Samuel plateau for d >= 4.  ``hs_budget`` bounds the
+    powers the Hilbert-Samuel engine may take.
     """
 
-    multiplicity_method: str = "auto"
     hs_budget: int = 60
 
     tag = "exact_noetherian"
-
-    def __post_init__(self):
-        if self.multiplicity_method not in MULTIPLICITY_METHODS:
-            raise SpecValidationError(
-                f"unknown multiplicity method {self.multiplicity_method!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -127,29 +116,22 @@ class LimitEstimate:
 
 
 def hilbert_samuel_multiplicity(I: MonomialIdeal, m_budget: int = 60) -> int:
-    """Exact e(I) by stabilized d-th finite differences of colength(I^m).
+    """e(I) read off a plateau of the d-th finite differences of colength(I^m).
 
     colength(I^m) agrees with a degree-d polynomial for large m, so its d-th
-    differences become exactly constant.  A fixed plateau length alone is not
-    a sound stopping rule: the differences can sit on a spurious plateau for
-    many steps before the polynomial range begins (e.g. the d = 3 ideal
-    (z^3, y^5, x y^2 z, x^4) plateaus at 58 for seven steps before
-    stabilizing at its true multiplicity 59).  For d <= 3 the loop therefore
-    runs until the differences agree with the exact covolume certificate
-    d! * covol three times in a row; in higher dimension, where no certificate
-    is available, a plateau of three is used as a heuristic.
+    differences become exactly constant.  The loop returns the first value
+    that the last three differences share.  This plateau is a heuristic, not
+    a proof: the differences can sit on a spurious plateau before the
+    polynomial range begins (the d = 3 ideal (z^3, y^5, x y^2 z, x^4)
+    plateaus at 58 for seven steps before stabilizing at its true
+    multiplicity 59).  Exact limits therefore run it only for d >= 4, where
+    no covolume kernel exists.
     """
     if not I.is_m_primary():
         raise NotMPrimary("multiplicity needs an m-primary ideal")
     if I.is_unit:
         return 0
     d = I.dim
-    target: int | None = None
-    if d <= 3:
-        certified = math.factorial(d) * covolume_from_gens(list(I.gens), d)
-        if certified.denominator != 1:
-            raise AssertionError(f"non-integer multiplicity certificate {certified}")
-        target = int(certified)
     values: list[int] = []
     current = unit_ideal(d)
     for m in range(1, m_budget + 1):
@@ -160,9 +142,7 @@ def hilbert_samuel_multiplicity(I: MonomialIdeal, m_budget: int = 60) -> int:
         diffs = values[:]
         for _ in range(d):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        if len(diffs) < 3 or not diffs[-1] == diffs[-2] == diffs[-3]:
-            continue
-        if target is None or diffs[-1] == target:
+        if diffs[-1] == diffs[-2] == diffs[-3]:
             return diffs[-1]
     raise BudgetExceeded(f"no stabilization within m <= {m_budget}")
 
@@ -198,8 +178,9 @@ def limit_normalized_colength(
 
     Exact strategy: the limit is the covolume of the Minkowski sum of the
     limit bodies, sum_j n_j * Gamma_j; with the bodies over a common
-    denominator D that is covol(G) / D^d for the summed points G, or
-    e((x^g : g in G)) / (d! D^d) through the Hilbert-Samuel engine.
+    denominator D that is covol(G) / D^d for the summed points G when
+    d <= 3, and e((x^g : g in G)) / (d! D^d) through the Hilbert-Samuel
+    engine when d >= 4.
     Numeric strategy: ``numeric_limit`` of the colengths.  Zero indices drop
     their factor; the all-zero index returns 0 exactly.
     """
@@ -219,7 +200,7 @@ def limit_normalized_colength(
 
     bodies = [F.limit_body() for F, _ in active]
     points, D = body_sum(bodies, [v for _, v in active])
-    if d <= 3 and strategy.multiplicity_method != "hilbert_samuel":
+    if d <= 3:
         value = covolume_from_gens(points, d) / D**d
     else:
         e = hilbert_samuel_multiplicity(minimalize(points, d), strategy.hs_budget)

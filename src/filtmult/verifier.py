@@ -220,10 +220,10 @@ def minkowski_report(
                 tolerance=tol,
             )
         )
+    left = float(eprod) ** (1 / d)
+    right = float(e1) ** (1 / d) + float(e2) ** (1 / d)
     if exact:
         holds, is_eq = root_sum_compare(Fraction(eprod), Fraction(e1), Fraction(e2), d)
-        left = float(eprod) ** (1 / d)
-        right = float(e1) ** (1 / d) + float(e2) ** (1 / d)
         rec = InequalityRecord(
             name="root_subadditivity",
             left=left,
@@ -232,8 +232,6 @@ def minkowski_report(
             passed=holds,
         )
     else:
-        left = float(eprod) ** (1 / d)
-        right = float(e1) ** (1 / d) + float(e2) ** (1 / d)
         rec = _record("root_subadditivity", left, right, tolerance=tol)
     records.append(rec)
     passed = all(r.passed for r in records)
@@ -297,7 +295,7 @@ def rees_identity_check(
         full_type.insert(slot - 1, 0)
         lhs = table.entry(tuple(full_type))
         rhs = rtable.entry(t)
-        if exact and rtable.exact:
+        if exact:
             ok = lhs == rhs
         else:
             ok = abs(float(lhs) - float(rhs)) <= tolerance

@@ -10,6 +10,7 @@ import pytest
 
 from filtmult import cli
 from filtmult.cli import main
+from filtmult.errors import SpecValidationError
 from filtmult.staircase import minimalize, power
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -418,6 +419,72 @@ def test_exit_code_2_on_invalid_strategy(tmp_path, capsys, strategy):
     code, out = run_cli(capsys, ["mixed", "--input", str(path)])
     assert code == 2
     assert check_report(out)["error"]["code"] == "SpecValidationError"
+
+
+def test_strategy_rejects_unknown_multiplicity_method():
+    with pytest.raises(SpecValidationError, match="unknown multiplicity method 'hilbert-samuel'"):
+        cli._strategy_from_json({"kind": "exact", "multiplicity_method": "hilbert-samuel"}, None)
+
+
+def test_multiplicity_methods_match_the_input_schema():
+    enum = INPUT_SCHEMA["definitions"]["strategy"]["properties"]["multiplicity_method"]["enum"]
+    assert list(cli.MULTIPLICITY_METHODS) == enum
+    for method in enum:
+        cli._strategy_from_json({"kind": "exact", "multiplicity_method": method}, None)
+
+
+# SHA-256 of multiplicity reports under "multiplicity_method": "hilbert_samuel",
+# recorded while that method still ran the finite-difference loop in d <= 3;
+# the covolume now answers these requests with the same bytes.  The d = 3
+# ideal is the one whose differences plateau at 58 before reaching e = 59.
+HILBERT_SAMUEL = {"kind": "exact", "multiplicity_method": "hilbert_samuel"}
+HILBERT_SAMUEL_METHOD_PINS = {
+    "power-d3": (
+        {"kind": "power", "ideal": {"dim": 3, "gens": [[0, 0, 3], [0, 5, 0], [1, 2, 1], [4, 0, 0]]}},
+        "fe632d097a0329b89e1edb753634d2fbfa2bdc2ee54f4345159e07780dd1a0dc",
+    ),
+    "power-d2": (
+        {"kind": "power", "ideal": {"dim": 2, "gens": [[3, 0], [1, 1], [0, 4]]}},
+        "2112946f08946e889449ff34f116dbd6e198d271dabd1034e422e2baf1c600af",
+    ),
+    "valuation-d2": (
+        {"kind": "valuation", "weights": ["1", "3/2"]},
+        "dffaa076cf214d37143e0de9d1210798fd653bac503fb0ef7c3b6afbe2b8c703",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HILBERT_SAMUEL_METHOD_PINS))
+def test_hilbert_samuel_method_report_bytes_pinned(tmp_path, capsys, name):
+    filtration, digest = HILBERT_SAMUEL_METHOD_PINS[name]
+    spec = {"filtration": filtration, "strategy": HILBERT_SAMUEL}
+    code, out = run_cli(capsys, ["multiplicity", "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    check_report(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_small_hs_budget_does_not_limit_d3(tmp_path, capsys):
+    # the finite-difference loop needs six powers in d = 3; the covolume none
+    spec = {
+        "filtration": _power([[2, 0, 0], [0, 3, 0], [0, 0, 1]]),
+        "strategy": dict(HILBERT_SAMUEL, hs_budget=5),
+    }
+    code, out = run_cli(capsys, ["multiplicity", "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    assert check_report(out)["report"]["multiplicity"] == "6"
+
+
+# recorded before the d <= 3 requests stopped running the finite-difference loop
+D4_MULTIPLICITY_SHA256 = "ae428be38a76164ca0f2e14397f21bd8f723947ffcd5610c49b1fd3309bd92cd"
+
+
+def test_d4_multiplicity_report_bytes_pinned(tmp_path, capsys):
+    spec = {"filtration": _power([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]])}
+    code, out = run_cli(capsys, ["multiplicity", "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    assert check_report(out)["report"]["multiplicity"] == "6"
+    assert hashlib.sha256(out.encode()).hexdigest() == D4_MULTIPLICITY_SHA256
 
 
 TRUNCATED_SQRT2 = {"kind": "truncated", "base": {"kind": "diagonal", "rates": [SQRT2]}, "a": 3}

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from filtmult.errors import NotMPrimary, NotNoetherian, SpecValidationError
-from filtmult import linalg
+from filtmult.errors import BudgetExceeded, NotMPrimary, NotNoetherian, SpecValidationError
+from filtmult import cli, geometry, linalg, multiplicity
 from filtmult.filtrations import (
     DiagonalFiltration,
     MonomialValuationFiltration,
@@ -32,9 +32,15 @@ from filtmult.quadratic import SQRT2, QuadraticIrrational
 from filtmult.staircase import colength, maximal_ideal, minimalize, power, product
 from filtmult.verifier import random_m_primary_ideal
 
+from oracles import finite_difference_oracle
+
 
 def I2(*gens):
     return minimalize(list(gens), 2)
+
+
+def I4(*gens):
+    return minimalize(list(gens), 4)
 
 
 def bhattacharya_pair():
@@ -73,15 +79,69 @@ def test_hs_not_primary():
         hilbert_samuel_multiplicity(I2((1, 1)))
 
 
+def test_hs_multiplicity_computes_no_covolume(monkeypatch):
+    def no_covolume(*args):
+        raise AssertionError("covolume_from_gens called")
+
+    monkeypatch.setattr(geometry, "covolume_from_gens", no_covolume)
+    monkeypatch.setattr(multiplicity, "covolume_from_gens", no_covolume)
+    assert hilbert_samuel_multiplicity(minimalize([(2, 0, 0), (0, 3, 0), (0, 0, 1)], 3)) == 6
+
+
 def test_multiplicity_engines_agree_on_random_ideals():
     rng = random.Random(2024)
     for _ in range(30):
         d = rng.choice([1, 2, 3])
         ideal = random_m_primary_ideal(rng, d, 5 if d == 3 else 8)
-        F = PowerFiltration(ideal)
-        hs = filtration_multiplicity(F, ExactStrategy(multiplicity_method="hilbert_samuel"))
-        cov = filtration_multiplicity(F, ExactStrategy(multiplicity_method="covolume"))
-        assert hs == cov
+        assert filtration_multiplicity(PowerFiltration(ideal)) == finite_difference_oracle(ideal)
+
+
+def test_dimension_alone_picks_the_exact_engine(monkeypatch):
+    calls = []
+
+    def spy(I, m_budget):
+        calls.append(I.dim)
+        return hilbert_samuel_multiplicity(I, m_budget)
+
+    monkeypatch.setattr(multiplicity, "hilbert_samuel_multiplicity", spy)
+    for method in cli.MULTIPLICITY_METHODS:
+        strategy = cli._strategy_from_json({"kind": "exact", "multiplicity_method": method}, None)
+        for d in (1, 2, 3, 4):
+            est = limit_normalized_colength([PowerFiltration(maximal_ideal(d))], (1,), strategy)
+            assert est.exact and est.value == Fraction(1, math.factorial(d))
+    assert calls == [4] * len(cli.MULTIPLICITY_METHODS)
+
+
+# -- exact multiplicities in d >= 4, through the Hilbert-Samuel plateau ----------
+
+
+@pytest.mark.parametrize(
+    "F, expected",
+    [
+        (PowerFiltration(maximal_ideal(4)), 1),
+        (PowerFiltration(I4((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 3))), 6),
+        (
+            PowerFiltration(
+                I4((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 1, 1))
+            ),
+            16,
+        ),
+        (
+            MonomialValuationFiltration(
+                [QuadraticIrrational.rational(w) for w in (1, 2, 1, 1)]
+            ),
+            Fraction(1, 2),
+        ),
+    ],
+    ids=["maximal", "x2-y-z-w3", "squares-xyzw", "valuation-1-2-1-1"],
+)
+def test_exact_multiplicity_d4(F, expected):
+    assert filtration_multiplicity(F) == expected
+
+
+def test_exact_multiplicity_d4_respects_hs_budget():
+    with pytest.raises(BudgetExceeded):
+        filtration_multiplicity(PowerFiltration(maximal_ideal(4)), ExactStrategy(hs_budget=5))
 
 
 # -- limit_normalized_colength -----------------------------------------------------
@@ -124,11 +184,6 @@ def test_limit_zero_coordinate_drops_factor():
 def test_limit_exact_requires_noetherian():
     with pytest.raises(NotNoetherian):
         limit_normalized_colength([DiagonalFiltration([SQRT2])], (1,), ExactStrategy())
-
-
-def test_exact_strategy_rejects_unknown_method():
-    with pytest.raises(SpecValidationError):
-        ExactStrategy(multiplicity_method="hilbert-samuel")
 
 
 def test_numeric_limit_last_difference_bound():
@@ -390,15 +445,15 @@ def test_table_entries_independent_of_sample_seed():
 
 def test_table_matches_single_ideal_decomposition_2d():
     # for power pairs in the plane: e(IJ) = e(I) + 2 e(I,J) + e(J), with all
-    # single-ideal values from the finite-difference engine
+    # single-ideal values from the finite-difference oracle
     rng = random.Random(31)
     for _ in range(10):
         I = random_m_primary_ideal(rng, 2, 6)
         J = random_m_primary_ideal(rng, 2, 6)
         table = mixed_multiplicity_table([PowerFiltration(I), PowerFiltration(J)])
-        eI = hilbert_samuel_multiplicity(I)
-        eJ = hilbert_samuel_multiplicity(J)
-        eIJ = hilbert_samuel_multiplicity(product(I, J))
+        eI = finite_difference_oracle(I)
+        eJ = finite_difference_oracle(J)
+        eIJ = finite_difference_oracle(product(I, J))
         assert table.entry((2, 0)) == eI
         assert table.entry((0, 2)) == eJ
         assert table.entry((1, 1)) == Fraction(eIJ - eI - eJ, 2)
