@@ -94,7 +94,10 @@ class PowerFiltration(Filtration):
         self.ideal = ideal
 
     def _compute(self, n: int) -> MonomialIdeal:
-        # geometric index schedules hit n/2 first, incremental loops hit n-1
+        # geometric index schedules hit n/2 first, incremental loops hit n-1;
+        # the numeric limit of an all-power family samples the powers of one
+        # product ideal here, each the square of the last.  n = 1 is the
+        # ideal itself: ``power`` takes no product with the unit ideal
         if n % 2 == 0 and n // 2 in self._cache:
             half = self._cache[n // 2]
             return product(half, half)

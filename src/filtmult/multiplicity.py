@@ -36,7 +36,7 @@ from .errors import (
     TopCoefficientDrift,
     spec_int,
 )
-from .filtrations import Filtration, body_sum, product_at, truncate
+from .filtrations import Filtration, PowerFiltration, body_sum, product_at, truncate
 from .geometry import covolume_from_gens
 from .staircase import MonomialIdeal, colength, minimalize, product, unit_ideal
 
@@ -181,8 +181,12 @@ def limit_normalized_colength(
     denominator D that is covol(G) / D^d for the summed points G when
     d <= 3, and e((x^g : g in G)) / (d! D^d) through the Hilbert-Samuel
     engine when d >= 4.
-    Numeric strategy: ``numeric_limit`` of the colengths.  Zero indices drop
-    their factor; the all-zero index returns 0 exactly.
+    Numeric strategy: ``numeric_limit`` of the colengths.  When every active
+    factor is a power filtration, the sample ideal prod_j I_j^{m n_j} is
+    J^m for J = prod_j I_j^{n_j}, so the samples are taken along the power
+    filtration of J, each one square of the last instead of a product of
+    r large powers; the ideals, and so the samples, are the same.  Zero
+    indices drop their factor; the all-zero index returns 0 exactly.
     """
     strategy = strategy if strategy is not None else ExactStrategy()
     d = _validate_family(Fs)
@@ -196,6 +200,9 @@ def limit_normalized_colength(
         return LimitEstimate(Fraction(0), Fraction(0), True, strategy.tag)
 
     if isinstance(strategy, NumericStrategy):
+        if all(isinstance(F, PowerFiltration) for F, _ in active):
+            G = PowerFiltration(product_at(Fs, n))
+            return numeric_limit(lambda m: colength(G.ideal_at(m)), d, strategy)
         return numeric_limit(lambda m: colength(product_at(Fs, [m * v for v in n])), d, strategy)
 
     bodies = [F.limit_body() for F, _ in active]

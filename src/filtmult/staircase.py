@@ -10,6 +10,7 @@ the zero ideal is not representable.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,8 @@ class MonomialIdeal:
     """A monomial ideal given by its minimal generators (an antichain).
 
     Every construction is fully checked.  The generators form an antichain
-    without duplicates exactly when ``minimal_elements`` keeps all of them.
+    without duplicates exactly when ``minimal_elements`` keeps all of them;
+    in d = 2, exactly when y falls strictly along the sorted tuple.
     """
 
     dim: int
@@ -44,6 +46,8 @@ class MonomialIdeal:
             raise ValueError("the zero ideal is not representable; gens must be nonempty")
         canonical = tuple(sorted(self.gens))
         object.__setattr__(self, "gens", canonical)
+        if self.dim == 2 and _is_staircase_2d(canonical):
+            return
         for g in canonical:
             if len(g) != self.dim:
                 raise DimensionMismatch(
@@ -51,7 +55,8 @@ class MonomialIdeal:
                 )
             if min(g) < 0:
                 raise ValueError(f"negative exponent in {g}")
-        if len(minimal_elements(canonical)) != len(canonical):
+        # valid d=2 exponents get here only by failing the antichain test
+        if self.dim == 2 or len(minimal_elements(canonical)) != len(canonical):
             raise ValueError("generators are not an antichain; use minimalize()")
 
     # -- basic structure ----------------------------------------------------
@@ -74,6 +79,10 @@ class MonomialIdeal:
         return min((g[axis] for g in self.gens if sum(g) == g[axis]), default=None)
 
     def is_m_primary(self) -> bool:
+        if self.dim == 2:
+            # x rises and y falls along the gens, so (0, b) must come first
+            # and (a, 0) last
+            return self.gens[0][0] == 0 and self.gens[-1][1] == 0
         return all(self.pure_power(i) is not None for i in range(self.dim))
 
     def box(self) -> tuple[int, ...]:
@@ -113,6 +122,20 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal(d={self.dim}, gens={list(self.gens)})"
+
+
+def _is_staircase_2d(gens: tuple[Exponent, ...]) -> bool:
+    """True when sorted d=2 exponents form a nonnegative antichain.
+
+    x rises along the sorted tuple, so a y that does not fall strictly marks
+    a duplicate or a generator divisible by its predecessor.
+    """
+    y = math.inf
+    for g in gens:
+        if len(g) != 2 or g[1] >= y:
+            return False
+        y = g[1]
+    return gens[0][0] >= 0 and y >= 0
 
 
 def unit_ideal(dim: int) -> MonomialIdeal:
@@ -181,15 +204,15 @@ def _product_2d(A: tuple[Exponent, ...], B: tuple[Exponent, ...]) -> tuple[Expon
 def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     if k < 0:
         raise ValueError("negative power")
-    result = unit_ideal(I.dim)
+    result = None
     base = I
     while k:
         if k & 1:
-            result = product(result, base)
+            result = base if result is None else product(result, base)
         k >>= 1
         if k:
             base = product(base, base)
-    return result
+    return unit_ideal(I.dim) if result is None else result
 
 
 def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

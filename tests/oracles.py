@@ -1,5 +1,11 @@
 """Test oracles that reach the engine's exact values by another route."""
 
+from fractions import Fraction
+
+from filtmult.errors import DimensionMismatch
+from filtmult.filtrations import product_at
+from filtmult.geometry import minimal_elements
+from filtmult.multiplicity import LimitEstimate
 from filtmult.staircase import MonomialIdeal, colength, product, unit_ideal
 
 # Powers taken per dimension.  Deep enough for every ideal the tests draw,
@@ -24,3 +30,40 @@ def finite_difference_oracle(I: MonomialIdeal) -> int:
         values = [b - a for a, b in zip(values, values[1:])]
     assert values[-1] == values[-2] == values[-3], f"no plateau of three: {values}"
     return values[-1]
+
+
+def old_construction_error(dim: int, gens) -> tuple[type, str] | None:
+    """The error ``MonomialIdeal(dim, gens)`` raised while every dimension
+    tested the antichain with ``minimal_elements``; None when it built."""
+    if dim < 1:
+        return DimensionMismatch, "ambient dimension must be >= 1"
+    if not gens:
+        return ValueError, "the zero ideal is not representable; gens must be nonempty"
+    canonical = tuple(sorted(gens))
+    for g in canonical:
+        if len(g) != dim:
+            return DimensionMismatch, f"exponent {g} has length {len(g)}, expected {dim}"
+        if min(g) < 0:
+            return ValueError, f"negative exponent in {g}"
+    if len(minimal_elements(canonical)) != len(canonical):
+        return ValueError, "generators are not an antichain; use minimalize()"
+    return None
+
+
+def old_is_m_primary(I: MonomialIdeal) -> bool:
+    """m-primary as a pure power on every axis, whatever the dimension."""
+    return all(I.pure_power(i) is not None for i in range(I.dim))
+
+
+def generic_numeric_limit(Fs, n, strategy) -> LimitEstimate:
+    """The numeric limit with every sample taken as colength(product_at(Fs, m*n)),
+    whatever kind each filtration is."""
+    if not any(n):
+        return LimitEstimate(Fraction(0), Fraction(0), True, strategy.tag)
+    d = Fs[0].dim
+    samples = tuple(
+        (m, Fraction(colength(product_at(Fs, [m * v for v in n])), m**d))
+        for m in strategy.schedule()
+    )
+    error = abs(samples[-1][1] - samples[-2][1])
+    return LimitEstimate(samples[-1][1], error, False, strategy.tag, samples)

@@ -46,6 +46,10 @@ BHATTACHARYA = {
 }
 
 
+def _power(gens):
+    return {"kind": "power", "ideal": {"dim": len(gens[0]), "gens": gens}}
+
+
 def test_colength_task(tmp_path, capsys):
     spec = {"ideal": {"dim": 2, "gens": [[3, 0], [1, 1], [0, 4]]}}
     code, out = run_cli(capsys, ["colength", "--input", write(tmp_path, "p.json", spec)])
@@ -403,6 +407,57 @@ def test_power_chain_report_bytes_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of numeric reports on all-power families, recorded while every
+# sample still multiplied the factors' large powers together: (task, spec,
+# seed, digest).  The d = 3 seed draws small sample points.
+NUMERIC_POWER_FAMILY_PINS = {
+    "mixed-d2-r3": (
+        "mixed",
+        {
+            "filtrations": [
+                _power([[3, 0], [1, 1], [0, 2]]),
+                _power([[2, 0], [0, 5]]),
+                _power([[4, 0], [2, 1], [0, 3]]),
+            ],
+            "strategy": {"kind": "numeric", "m_max": 16},
+        },
+        0,
+        "bc459c14bbc78bb86e75a0da6a75a482856a318fb74b9d71a15cdc9217683c3d",
+    ),
+    "mixed-d3-pair": (
+        "mixed",
+        {
+            "filtrations": [
+                _power([[2, 0, 0], [0, 1, 1], [0, 2, 0], [0, 0, 2]]),
+                _power([[1, 0, 0], [0, 2, 0], [0, 0, 1]]),
+            ],
+            "strategy": {"kind": "numeric", "m_max": 2},
+        },
+        46,
+        "245d8c5e116c9db0b3342f0947c92f34fe367b5313182596497a5a2499606dd8",
+    ),
+    "minkowski-d2-pair": (
+        "minkowski",
+        {
+            "pair": [_power([[3, 0], [1, 1], [0, 2]]), _power([[2, 0], [0, 5]])],
+            "strategy": {"kind": "numeric", "m_max": 16},
+        },
+        0,
+        "121f6b3b9bb8bd217bd48d90ef9b3e656104aaa25717a4509adc545538c140a1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_POWER_FAMILY_PINS))
+def test_numeric_power_family_report_bytes_pinned(tmp_path, capsys, name):
+    task, spec, seed, digest = NUMERIC_POWER_FAMILY_PINS[name]
+    path = write(tmp_path, "p.json", spec)
+    code, out = run_cli(capsys, [task, "--input", path, "--seed", str(seed)])
+    assert code == 0
+    check_report(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "strategy",
     [
@@ -700,10 +755,6 @@ def test_okounkov_on_the_d3_maximal_ideal(tmp_path, capsys):
 # Fraction arithmetic: the 6x6 table solve and its sample points, a Rees
 # check, the d=3 membership path of integrality, the d=1 Okounkov body and
 # the witness normal equations.
-def _power(gens):
-    return {"kind": "power", "ideal": {"dim": len(gens[0]), "gens": gens}}
-
-
 INTEGER_EXACT_PINS = {
     "mixed-exact-r3": (
         "mixed",

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filtmult.errors import BudgetExceeded, NotMPrimary, NotNoetherian, SpecValidationError
 from filtmult import cli, geometry, linalg, multiplicity
@@ -32,7 +34,7 @@ from filtmult.quadratic import SQRT2, QuadraticIrrational
 from filtmult.staircase import colength, maximal_ideal, minimalize, power, product
 from filtmult.verifier import random_m_primary_ideal
 
-from oracles import finite_difference_oracle
+from oracles import finite_difference_oracle, generic_numeric_limit
 
 
 def I2(*gens):
@@ -209,6 +211,68 @@ def test_numeric_agrees_with_exact_within_error():
         assert abs(float(numeric.value) - float(exact.value)) <= 2 * float(
             numeric.error_bound
         ) + 1e-9
+
+
+@st.composite
+def numeric_power_families(draw):
+    """All-power families with their indices and a numeric strategy: d = 1-3,
+    r = 1-3, zero indices, odd m0 > 1 in d <= 2; d = 3 stays at max exponent
+    2 and m_max 2."""
+    d = draw(st.integers(1, 3))
+    top = 2 if d == 3 else 4
+    coord = st.integers(0, top)
+    Fs = []
+    for _ in range(draw(st.integers(1, 3))):
+        raw = [tuple(draw(st.integers(1, top)) if j == i else 0 for j in range(d)) for i in range(d)]
+        raw += draw(st.lists(st.tuples(*[coord] * d), max_size=3))
+        Fs.append(PowerFiltration(minimalize(raw, d)))
+    n = tuple(draw(st.lists(st.integers(0, 3), min_size=len(Fs), max_size=len(Fs))))
+    if d == 3:
+        strategy = NumericStrategy(m_max=2)
+    else:
+        m0 = draw(st.sampled_from([1, 3, 5]))
+        strategy = NumericStrategy(m_max=draw(st.integers(2 * m0, 8 * m0)), m0=m0)
+    return Fs, n, strategy
+
+
+@given(numeric_power_families())
+@settings(max_examples=80, deadline=None)
+def test_numeric_power_family_matches_generic_samples(case):
+    Fs, n, strategy = case
+    # the generic oracle runs first on fresh filtrations, so neither route
+    # reads ideals the other has cached
+    expected = generic_numeric_limit([PowerFiltration(F.ideal) for F in Fs], n, strategy)
+    assert limit_normalized_colength(Fs, n, strategy) == expected
+
+
+def spy_indices(monkeypatch, F):
+    asked = []
+    ideal_at = F.ideal_at
+
+    def spy(k):
+        asked.append(k)
+        return ideal_at(k)
+
+    monkeypatch.setattr(F, "ideal_at", spy)
+    return asked
+
+
+def test_numeric_power_family_takes_powers_of_one_product(monkeypatch):
+    F1, F2 = bhattacharya_pair()
+    F3 = PowerFiltration(I2((4, 0), (2, 1), (0, 3)))
+    asked = [spy_indices(monkeypatch, F) for F in (F1, F2, F3)]
+    limit_normalized_colength([F1, F2, F3], (3, 0, 2), NumericStrategy(m_max=64))
+    assert asked == [[3], [], [2]]
+
+
+def test_numeric_family_with_a_valuation_samples_every_factor(monkeypatch):
+    V = MonomialValuationFiltration([QuadraticIrrational.rational(w) for w in (1, Fraction(3, 2))])
+    F = PowerFiltration(I2((3, 0), (1, 1), (0, 2)))
+    asked = [spy_indices(monkeypatch, G) for G in (V, F)]
+    strategy = NumericStrategy(m_max=16)
+    est = limit_normalized_colength([V, F], (2, 3), strategy)
+    assert asked == [[2, 4, 8, 16, 32], [3, 6, 12, 24, 48]]
+    assert est == generic_numeric_limit([V, F], (2, 3), strategy)
 
 
 def test_limit_homogeneity_exact():

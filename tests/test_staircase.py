@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filtmult import staircase
 from filtmult.errors import DimensionMismatch, NotMPrimary, SpecValidationError
+from filtmult.filtrations import PowerFiltration
 from filtmult.staircase import (
     MonomialIdeal,
     colength,
@@ -24,6 +26,8 @@ from filtmult.staircase import (
     product,
     unit_ideal,
 )
+
+from oracles import old_construction_error, old_is_m_primary
 
 
 def I2(*gens):
@@ -149,6 +153,56 @@ def test_construction_keeps_other_checks():
         MonomialIdeal(0, ((),))
     with pytest.raises(ValueError):
         MonomialIdeal(2, ())
+
+
+@st.composite
+def construction_cases_2d(draw):
+    """Shuffled d=2 generator lists: antichains, m-primary or not, with
+    duplicates, equal x, multiples, negative or wrong-length exponents
+    mixed in."""
+    coord = st.integers(0, 6)
+    raw = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=8))
+    if draw(st.booleans()):  # close the staircase on both axes
+        raw += [(draw(coord), 0), (0, draw(coord))]
+    base = brute_minimal(raw) if draw(st.booleans()) else tuple(raw)
+    gens = base
+    top_x, top_y = (max(g[i] for g in base) for i in (0, 1))
+    for kind in draw(st.lists(st.sampled_from(["dup", "same_x", "raw", "neg", "len"]), max_size=2)):
+        x, y = draw(st.sampled_from(base))
+        extra = {
+            "dup": (x, y),
+            "same_x": (x, draw(coord)),
+            "raw": draw(st.tuples(coord, coord)),
+            # beyond either end of the staircase, so y may still fall strictly
+            "neg": draw(st.sampled_from([(-1, top_y + 1), (top_x + 1, -1)])),
+            "len": draw(st.sampled_from([(x,), (x, y, 0)])),
+        }[kind]
+        gens += (extra,)
+    return draw(st.permutations(gens))
+
+
+@given(construction_cases_2d())
+@settings(max_examples=500, deadline=None)
+def test_d2_construction_matches_the_minimal_elements_checks(gens):
+    expected = old_construction_error(2, gens)
+    try:
+        I = MonomialIdeal(2, tuple(gens))
+    except (ValueError, DimensionMismatch) as exc:
+        assert (type(exc), str(exc)) == expected
+    else:
+        assert expected is None
+        assert I.gens == tuple(sorted(gens))
+        assert I.is_m_primary() == old_is_m_primary(I)
+
+
+def test_power_filtration_first_term_is_its_ideal(monkeypatch):
+    def no_product(I, J):
+        raise AssertionError("multiplied by the unit ideal")
+
+    monkeypatch.setattr(staircase, "product", no_product)
+    I = I2((3, 0), (1, 1), (0, 4))
+    assert PowerFiltration(I).ideal_at(1) is I
+    assert power(I, 1) is I
 
 
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(exponent_lists(d), exponent_lists(d))))
