@@ -29,6 +29,7 @@ from .filtrations import (
     truncate,
     verify_filtration,
 )
+from .geometry import Body
 from .multiplicity import (
     ExactStrategy,
     LimitEstimate,
@@ -56,7 +57,6 @@ from .okounkov import (
 from .quadratic import SQRT2, QuadraticIrrational
 from .staircase import (
     MonomialIdeal,
-    NewtonRegion,
     colength,
     contains,
     covolume,

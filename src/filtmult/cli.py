@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from .errors import FiltmultError, SpecValidationError, spec_int
+from .errors import FiltmultError, SpecValidationError, spec_int, spec_object
 from .filtrations import CeilingNormMultiFiltration, Filtration, filtration_from_json
 from .multiplicity import (
     ExactStrategy,
@@ -68,7 +68,7 @@ MULTIPLICITY_METHODS = ("auto", "covolume", "hilbert_samuel")
 def _strategy_from_json(data, budget: int | None) -> Strategy:
     if data is None:
         return ExactStrategy()
-    kind = data.get("kind")
+    kind = spec_object(data, "strategy").get("kind")
     if kind == "exact":
         hs_budget = _spec_int(data, "hs_budget", 60, 4)
         method = data.get("multiplicity_method", "auto")
@@ -79,7 +79,7 @@ def _strategy_from_json(data, budget: int | None) -> Strategy:
         return NumericStrategy(
             m_max=_spec_int(data, "m_max", 4096, 2, budget), m0=_spec_int(data, "m0", 1, 1)
         )
-    raise SpecValidationError(f"unknown strategy kind {data.get('kind')!r}")
+    raise SpecValidationError(f"unknown strategy kind {kind!r}")
 
 
 def _exact_strategy(spec: dict, budget: int | None) -> ExactStrategy:
@@ -162,7 +162,7 @@ def _task_minkowski(spec, args):
         strategy = _strategy_from_json(spec.get("strategy"), args.budget)
         report = minkowski_report(F1, F2, strategy, seed=args.seed)
         return report.to_json(), report.passed
-    suite_spec = spec.get("suite", {})
+    suite_spec = spec_object(spec.get("suite", {}), "suite")
     result = minkowski_suite(
         count_d2=_spec_int(suite_spec, "count_d2", 100, 0),
         count_d3=_spec_int(suite_spec, "count_d3", 25, 0),
@@ -184,7 +184,7 @@ def _task_integrality(spec, args):
     if "ideal" in spec:
         report = integrality_check(MonomialIdeal.from_json(spec["ideal"]))
         return report.to_json(), report.passed
-    suite_spec = spec.get("suite", {})
+    suite_spec = spec_object(spec.get("suite", {}), "suite")
     result = integrality_suite(
         count=_spec_int(suite_spec, "count", 20, 1),
         seed=args.seed,
@@ -194,7 +194,6 @@ def _task_integrality(spec, args):
 
 
 def _task_multigraded_demo(spec, args):
-    spec = spec or {}
     arity = _spec_int(spec, "arity", 2, 1)
     MF = CeilingNormMultiFiltration(arity, spec.get("weights"))
     points = [tuple(p) for p in spec.get("points", STANDARD_WITNESS_POINTS)]
@@ -307,7 +306,7 @@ def main(argv=None) -> int:
         return 2
     handler = _HANDLERS[args.task]
     try:
-        report, passed = handler(spec, args)
+        report, passed = handler(spec_object(spec, "spec"), args)
     except SpecValidationError as exc:
         _emit({"error": {"code": exc.code, "message": str(exc)}}, args)
         return 2

@@ -76,3 +76,10 @@ def spec_int(value, name: str, minimum: int | None = None) -> int:
         at_least = "" if minimum is None else f" >= {minimum}"
         raise SpecValidationError(f"{name}: integers{at_least} only, got {value!r}")
     return value
+
+
+def spec_object(value, name: str) -> dict:
+    """``value`` itself when it is a JSON object; otherwise SpecValidationError."""
+    if not isinstance(value, dict):
+        raise SpecValidationError(f"{name}: a JSON object only, got {value!r}")
+    return value

@@ -1,8 +1,9 @@
 """Filtrations of monomial ideals: built-in families, truncation, checks.
 
 A filtration is a map n -> I_n with I_0 = R, descending terms and
-I_i * I_j contained in I_{i+j}.  Instances are logically immutable; the memo
-cache on ``ideal_at`` is idempotent (a key always maps to the same ideal), so
+I_i * I_j contained in I_{i+j}.  Each kind owns its limit body, a
+``geometry.Body``.  Instances are logically immutable; the memo cache on
+``ideal_at`` is idempotent (a key always maps to the same ideal), so
 concurrent reads and fills are safe.
 """
 
@@ -23,8 +24,9 @@ from .errors import (
     NotNoetherian,
     SpecValidationError,
     spec_int,
+    spec_object,
 )
-from .geometry import minimal_elements
+from .geometry import Body
 from .quadratic import QuadraticIrrational, ceil_sqrt, floor_sqrt_form
 from .staircase import (
     MonomialIdeal,
@@ -39,10 +41,11 @@ from .staircase import (
 class Filtration:
     """Base class; subclasses provide ``_compute(n)`` for n >= 1.
 
-    Every Noetherian fact comes from one hook, ``limit_body``, which each kind
-    proves in closed form or by a complete finite check, or refuses: exact
-    limits are covolumes of its body, and its denominator is a proven period
-    of the colength quasi-polynomial.
+    Every Noetherian fact comes from one hook, ``_limit_body``, which each
+    kind proves in closed form or by a complete finite check, or refuses:
+    exact limits are covolumes of its body, and its denominator is a proven
+    period of the colength quasi-polynomial.  ``limit_body`` builds the body
+    once per instance.
     """
 
     kind = "abstract"
@@ -50,6 +53,7 @@ class Filtration:
     def __init__(self, dim: int):
         self.dim = dim
         self._cache: dict[int, MonomialIdeal] = {}
+        self._body: Body | None = None
 
     def ideal_at(self, n: int) -> MonomialIdeal:
         if n < 0:
@@ -65,11 +69,15 @@ class Filtration:
     def _compute(self, n: int) -> MonomialIdeal:
         raise NotImplementedError
 
-    def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
-        """Integer points G and a denominator D such that conv(G/D) plus the
-        orthant is the limit body, the closure of the union of the
-        (1/m)*Newton(I_m); its covolume is lim lam(R/I_m)/m^d, and D is a
-        period of the colength quasi-polynomial."""
+    def limit_body(self) -> Body:
+        """The limit body conv(G/D) + orthant, the closure of the union of
+        the (1/m)*Newton(I_m); its covolume is lim lam(R/I_m)/m^d, and its
+        denominator D is a period of the colength quasi-polynomial."""
+        if self._body is None:
+            self._body = self._limit_body()
+        return self._body
+
+    def _limit_body(self) -> Body:
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -105,8 +113,8 @@ class PowerFiltration(Filtration):
             return product(self._cache[n - 1], self.ideal)
         return power(self.ideal, n)
 
-    def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
-        return list(self.ideal.gens), 1
+    def _limit_body(self) -> Body:
+        return Body(self.ideal.gens)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "ideal": self.ideal.to_json()}
@@ -132,7 +140,7 @@ class ShiftedPowerFiltration(Filtration):
     def _compute(self, n: int) -> MonomialIdeal:
         return power(self.ideal, n + self.shift)
 
-    limit_body = PowerFiltration.limit_body  # the index shift is invisible in the limit
+    _limit_body = PowerFiltration._limit_body  # the index shift is invisible in the limit
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "ideal": self.ideal.to_json(), "shift": self.shift}
@@ -165,14 +173,14 @@ class DiagonalFiltration(Filtration):
         e = self.rates[0].ceil_times(n)
         return MonomialIdeal(1, ((e,),))
 
-    def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
+    def _limit_body(self) -> Body:
         rate = self.rates[0]
         if not rate.is_rational:
             # theta is a vertex of the body, and a scale a would make the
             # body (1/a)*Newton(I_a), which is rational
             raise NotNoetherian(f"{self.describe()} has the irrational vertex {rate}")
         rate = rate.as_fraction()
-        return [(rate.numerator,)], rate.denominator
+        return Body([(rate.numerator,)], rate.denominator)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "rates": [r.to_json() for r in self.rates]}
@@ -232,7 +240,7 @@ class MonomialValuationFiltration(Filtration):
             points.append((*a, max(0, self._ceil_over(x, y, last))))
         return minimalize(points, self.dim)
 
-    def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
+    def _limit_body(self) -> Body:
         if not all(w.is_rational for w in self.weights):
             # as for a diagonal: the irrational intercept 1/w_i is a vertex
             raise NotNoetherian(f"{self.describe()} has an irrational limit body vertex")
@@ -241,7 +249,7 @@ class MonomialValuationFiltration(Filtration):
         cuts = [1 / w.as_fraction() for w in self.weights]
         D = math.lcm(*(c.denominator for c in cuts))
         ends = [int(c * D) for c in cuts]
-        return [tuple(e * (j == i) for j in range(self.dim)) for i, e in enumerate(ends)], D
+        return Body([tuple(e * (j == i) for j in range(self.dim)) for i, e in enumerate(ends)], D)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "weights": [w.to_json() for w in self.weights]}
@@ -271,7 +279,6 @@ class TableFiltration(Filtration):
         super().__init__(ideals[0].dim)
         self.ideals = tuple(ideals)
         self._violation: tuple | None = None
-        self._body: tuple[list[tuple[int, ...]], int] | None = None
 
     def _compute(self, n: int) -> MonomialIdeal:
         if n > len(self.ideals):
@@ -287,11 +294,9 @@ class TableFiltration(Filtration):
             axiom, i, j = self._violation
             raise SpecValidationError(f"table is not a filtration: {axiom} fails at ({i}, {j})")
 
-    def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
-        if self._body is None:
-            # the truncation checks this table first
-            self._body = TruncatedFiltration(self, len(self.ideals)).limit_body()
-        return self._body
+    def _limit_body(self) -> Body:
+        # the truncation checks this table first
+        return TruncatedFiltration(self, len(self.ideals)).limit_body()
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "ideals": [I.to_json() for I in self.ideals]}
@@ -337,7 +342,7 @@ class TruncatedFiltration(Filtration):
         if isinstance(self.base, (TableFiltration, TruncatedFiltration)):
             self.base.check()
 
-    def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
+    def _limit_body(self) -> Body:
         # a term past a sums products over parts k_i <= a, and
         # (sum_i g_i) / (sum_i k_i) is a convex combination of the g_i / k_i;
         # a part whose generators all lie in products I_j * I_{k-j} adds no
@@ -354,7 +359,7 @@ class TruncatedFiltration(Filtration):
                     K.append(k)
                     break
         L = math.lcm(*K)
-        return [tuple(L // k * e for e in g) for k in K for g in gens[k]], L
+        return Body([tuple(L // k * e for e in g) for k in K for g in gens[k]], L)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "base": self.base.to_json(), "a": self.a}
@@ -382,8 +387,8 @@ class PointwiseProductFiltration(Filtration):
     def _compute(self, n: int) -> MonomialIdeal:
         return product(self.left.ideal_at(n), self.right.ideal_at(n))
 
-    def limit_body(self) -> tuple[list[tuple[int, ...]], int]:
-        return body_sum([F.limit_body() for F in (self.left, self.right)], (1, 1))
+    def _limit_body(self) -> Body:
+        return self.left.limit_body() + self.right.limit_body()
 
     def to_json(self) -> dict:
         return {
@@ -408,18 +413,6 @@ def _in_lower_products(x, k: int, K: list[int], gens: dict) -> bool:
 
 def truncate(base: Filtration, a: int) -> TruncatedFiltration:
     return TruncatedFiltration(base, a)
-
-
-def body_sum(bodies, weights) -> tuple[list[tuple[int, ...]], int]:
-    """The body sum_j v_j * conv(G_j/D_j) as points over D = lcm(D_j): the
-    Minkowski sum of the v_j * (D/D_j) * G_j, reduced to minimal elements
-    before each summand; callers reduce the result."""
-    D = math.lcm(*(Dj for _, Dj in bodies))
-    total = [(0,) * len(bodies[0][0][0])]
-    for (G, Dj), v in zip(bodies, weights):
-        c = v * (D // Dj)
-        total = [tuple(x + c * y for x, y in zip(p, g)) for p in minimal_elements(total) for g in G]
-    return total, D
 
 
 def product_at(Fs, n) -> MonomialIdeal:
@@ -516,7 +509,7 @@ def _qi_from_json(data) -> QuadraticIrrational:
 
 
 def filtration_from_json(data: dict) -> Filtration:
-    kind = data.get("kind")
+    kind = spec_object(data, "filtration").get("kind")
     if kind == "power":
         return PowerFiltration(MonomialIdeal.from_json(data["ideal"]))
     if kind == "shifted_power":

@@ -1,21 +1,24 @@
 """Exact rational convex geometry in ambient dimension <= 3.
 
 Everything here works over integers / ``Fraction``; there is no floating
-point anywhere on a decision path.  The polyhedra that occur are Newton
-polyhedra ``conv(G) + R^d_{>=0}`` of monomial ideals and convex hulls of
-semigroup fibers.  Newton polyhedra are described by their supporting
-planes through generators.  Covolumes and 3D hull volumes are both sums of
-origin cones over facets found among planes through point triples, so no
-vertex enumeration is needed.
+point anywhere on a decision path.  The polyhedra that occur are the
+bodies ``conv(G/D) + R^d_{>=0}`` of integer points G over a denominator D
+(a ``Body``: limit bodies of filtrations, and Newton polyhedra of monomial
+ideals when D = 1), and convex hulls of semigroup fibers.  Bodies are
+described by their supporting planes through generators.  Covolumes and 3D
+hull volumes are both sums of origin cones over facets found among planes
+through point triples, so no vertex enumeration is needed.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
-from .errors import DimensionUnsupported
+from .errors import DimensionUnsupported, NotMPrimary
 
 Point = tuple  # tuple of int or Fraction coordinates
 
@@ -273,7 +276,8 @@ def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
     """Exact volume of the orthant complement of ``conv(gens) + orthant``.
 
     Requires a generator set whose complement is bounded (a pure power on
-    every axis); ``gens`` need not be minimal.
+    every axis), and raises ``NotMPrimary`` otherwise; ``gens`` need not be
+    minimal.
 
     In d = 3 the covolume is a sum of cones with apex at the origin.  Every
     ray from the origin into the orthant leaves the complement through a
@@ -298,7 +302,7 @@ def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
     for i in range(dim):
         pures = [g[i] for g in pts if sum(g) == g[i]]
         if not pures:
-            raise ValueError("complement region is unbounded (no pure power on an axis)")
+            raise NotMPrimary(f"no pure power on axis {i}; the covolume is infinite")
         caps.append(min(pures))
     if all(c == 0 for c in caps):
         return Fraction(0)
@@ -308,3 +312,68 @@ def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
         polygon = [(0, 0)] + lower_left_chain(pts)
         return polygon_area(polygon)
     return _cone_sum_3d(pts, True)
+
+
+# ---------------------------------------------------------------------------
+# Bodies
+
+
+@dataclass(frozen=True, eq=False)
+class Body:
+    """The body ``conv(points / denominator) + orthant``, with its integer
+    points reduced to their minimal elements when it is built.
+
+    ``A + B`` is the Minkowski sum over the lcm of the two denominators, and
+    ``k * A`` scales by an integer k.  Bodies are equal when their
+    denominators and vertices are.  ``inequalities`` and ``vertices`` are
+    computed on first use, for d <= 3, and describe ``conv(points) +
+    orthant``, the body scaled by its denominator.
+    """
+
+    points: tuple[tuple[int, ...], ...]
+    denominator: int = 1
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "points", tuple(minimal_elements(list(self.points))))
+
+    @property
+    def dim(self) -> int:
+        return len(self.points[0])
+
+    def __add__(self, other: "Body") -> "Body":
+        D = lcm(self.denominator, other.denominator)
+        a, b = D // self.denominator, D // other.denominator
+        sums = [tuple(a * x + b * y for x, y in zip(p, q)) for p in self.points for q in other.points]
+        return Body(sums, D)
+
+    def __rmul__(self, k: int) -> "Body":
+        return Body([tuple(k * x for x in p) for p in self.points], self.denominator)
+
+    def covolume(self) -> Fraction:
+        """Exact covolume (d <= 3); ``NotMPrimary`` when it is infinite."""
+        return covolume_from_gens(self.points, self.dim) / self.denominator**self.dim
+
+    @cached_property
+    def inequalities(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """A complete family as in ``newton_inequalities``."""
+        return tuple(newton_inequalities(self.points, self.dim))
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[int, ...], ...]:
+        """The points outside the body of the other points."""
+        pts = self.points
+        return tuple(
+            g for g in pts
+            if len(pts) == 1
+            or not satisfies_inequalities(g, newton_inequalities([h for h in pts if h != g], self.dim))
+        )
+
+    def member(self, point) -> bool:
+        """True when the (rational) point lies in the body."""
+        scaled = [self.denominator * x for x in point]
+        return min(scaled) >= 0 and satisfies_inequalities(scaled, self.inequalities)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Body):
+            return NotImplemented
+        return self.denominator == other.denominator and self.vertices == other.vertices

@@ -5,16 +5,17 @@ The normalized colength function ``P(n_1..n_r) = lim lam(R / I(1)_{m n_1}
 Exact values are covolumes of Minkowski sums of the filtrations' limit
 bodies, the closures of the unions of the (1/m)*Newton(I_m) (Cutkosky,
 "Multiplicities associated to graded families of ideals", Algebra & Number
-Theory 2013; Kaveh-Khovanskii, Proc. Steklov Inst. 2014); a numeric
-strategy extrapolates colengths instead.  Mixed multiplicities are the
-normalized coefficients of that polynomial.
+Theory 2013; Kaveh-Khovanskii, Proc. Steklov Inst. 2014), each a
+``geometry.Body``; a numeric strategy extrapolates colengths instead.
+Mixed multiplicities are the normalized coefficients of that polynomial.
 
 The dimension picks the exact engine on the summed body.  For d <= 3 the
 limit is its covolume.  For d >= 4, where no covolume kernel exists, it is
-e / (d! D^d) with e read off a plateau of the d-th finite differences of
-colengths of powers (the Hilbert-Samuel route), which is a heuristic.  The
-test suite checks the covolume against a target-free finite-difference
-oracle of its own.
+e / (d! D^d) for the body's points G over its denominator D, with e the
+multiplicity of the ideal (x^g : g in G) read off a plateau of the d-th
+finite differences of colengths of powers (the Hilbert-Samuel route),
+which is a heuristic.  The test suite checks the covolume against a
+target-free finite-difference oracle of its own.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from .errors import (
     TopCoefficientDrift,
     spec_int,
 )
-from .filtrations import Filtration, PowerFiltration, body_sum, product_at, truncate
-from .geometry import covolume_from_gens
-from .staircase import MonomialIdeal, colength, minimalize, product, unit_ideal
+from .filtrations import Filtration, PowerFiltration, product_at, truncate
+from .staircase import MonomialIdeal, colength, product, unit_ideal
 
 Exponent = tuple[int, ...]
 
@@ -177,10 +177,9 @@ def limit_normalized_colength(
     """lim_m lam(R / I(1)_{m n_1} ... I(r)_{m n_r}) / m^d.
 
     Exact strategy: the limit is the covolume of the Minkowski sum of the
-    limit bodies, sum_j n_j * Gamma_j; with the bodies over a common
-    denominator D that is covol(G) / D^d for the summed points G when
-    d <= 3, and e((x^g : g in G)) / (d! D^d) through the Hilbert-Samuel
-    engine when d >= 4.
+    limit bodies, sum_j n_j * Gamma_j, when d <= 3.  When d >= 4 it is
+    e((x^g : g in G)) / (d! D^d) through the Hilbert-Samuel engine, for the
+    sum's points G over its denominator D.
     Numeric strategy: ``numeric_limit`` of the colengths.  When every active
     factor is a power filtration, the sample ideal prod_j I_j^{m n_j} is
     J^m for J = prod_j I_j^{n_j}, so the samples are taken along the power
@@ -205,13 +204,13 @@ def limit_normalized_colength(
             return numeric_limit(lambda m: colength(G.ideal_at(m)), d, strategy)
         return numeric_limit(lambda m: colength(product_at(Fs, [m * v for v in n])), d, strategy)
 
-    bodies = [F.limit_body() for F, _ in active]
-    points, D = body_sum(bodies, [v for _, v in active])
+    body, *rest = (v * F.limit_body() for F, v in active)
+    body = sum(rest, body)
     if d <= 3:
-        value = covolume_from_gens(points, d) / D**d
+        value = body.covolume()
     else:
-        e = hilbert_samuel_multiplicity(minimalize(points, d), strategy.hs_budget)
-        value = Fraction(e, math.factorial(d) * D**d)
+        e = hilbert_samuel_multiplicity(MonomialIdeal(d, body.points), strategy.hs_budget)
+        value = Fraction(e, math.factorial(d) * body.denominator**d)
     return LimitEstimate(value, Fraction(0), True, strategy.tag)
 
 
@@ -474,7 +473,7 @@ def fit_quasi_polynomial(Fs: list[Filtration], alpha: int, window: int = 2) -> Q
     if alpha < 1:
         raise ValueError("period must be >= 1")
     for F in Fs:
-        D = F.limit_body()[1]
+        D = F.limit_body().denominator
         if alpha % D != 0:
             raise NotNoetherian(f"{F.describe()}: the period {alpha} is not a multiple of {D}")
     exponents = list(itertools.product(range(d + 1), repeat=r))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry
-from .geometry import minimal_elements
+from .geometry import Body, minimal_elements
 from .errors import DimensionMismatch, DimensionUnsupported, NotMPrimary, spec_int
 
 Exponent = tuple[int, ...]
@@ -268,66 +268,14 @@ def _colength_rec(gens: list[Exponent], dim: int) -> int:
 # Newton region, covolume, integral closure
 
 
-@dataclass(frozen=True)
-class NewtonRegion:
-    """The polyhedron conv(gens) + orthant, with a facet description for d <= 3.
-
-    ``vertices`` (the extreme generators) determine the region uniquely, so
-    equality and hashing use them.  ``inequalities`` is a complete family of
-    the form <n, y> >= b in which every member supports the region at some
-    generator (see ``geometry.newton_inequalities``; members that are not
-    facets may remain); it is None when dim > 3.
-    """
-
-    dim: int
-    generators: tuple[Exponent, ...]
-    vertices: tuple[Exponent, ...]
-    inequalities: tuple[tuple[tuple[int, ...], int], ...] | None
-
-    def member(self, point) -> bool:
-        if self.inequalities is None:
-            raise DimensionUnsupported("membership test needs d <= 3")
-        if any(x < 0 for x in point):
-            return False
-        return geometry.satisfies_inequalities(point, self.inequalities)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NewtonRegion):
-            return NotImplemented
-        return self.dim == other.dim and self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.vertices))
+def newton_region(I: MonomialIdeal) -> Body:
+    """The Newton polyhedron conv(gens) + orthant of I."""
+    return Body(I.gens)
 
 
-def newton_region(I: MonomialIdeal) -> NewtonRegion:
-    gens = list(I.gens)
-    if I.dim > 3:
-        return NewtonRegion(I.dim, tuple(gens), tuple(gens), None)
-    ineqs = tuple(geometry.newton_inequalities(gens, I.dim))
-    verts = []
-    for g in gens:
-        if len(gens) == 1:
-            verts.append(g)
-            continue
-        others = [h for h in gens if h != g]
-        other_ineqs = geometry.newton_inequalities(others, I.dim)
-        if not geometry.satisfies_inequalities(g, other_ineqs):
-            verts.append(g)
-    return NewtonRegion(I.dim, tuple(gens), tuple(sorted(verts)), ineqs)
-
-
-def covolume(region: NewtonRegion) -> Fraction:
+def covolume(region: Body) -> Fraction:
     """Exact volume of (orthant \\ region); requires a bounded complement."""
-    if region.dim > 3:
-        raise DimensionUnsupported(
-            f"covolume needs d <= 3, got d = {region.dim}; use the Hilbert-Samuel route"
-        )
-    gens = list(region.generators)
-    for i in range(region.dim):
-        if not any(all(g[j] == 0 for j in range(region.dim) if j != i) for g in gens):
-            raise NotMPrimary(f"no pure power on axis {i}; covolume is infinite")
-    return geometry.covolume_from_gens(gens, region.dim)
+    return region.covolume()
 
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:

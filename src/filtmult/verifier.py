@@ -267,47 +267,24 @@ def rees_identity_check(
     d = Fs[0].dim
     if r == 1:
         single = filtration_multiplicity(Fs[0], strategy)
-        rec = InequalityRecord("tautology[r=1]", float(single), float(single), 0.0, True)
+        rec = _record("tautology[r=1]", single, single, passed=True)
         return InequalityReport((rec,), True, isinstance(strategy, ExactStrategy), {"d": d})
     table = mixed_multiplicity_table(Fs, strategy, seed=seed)
     exact = table.exact
-    records = []
+
+    def equal(name, left, right):
+        same = left == right if exact else abs(float(left) - float(right)) <= tolerance
+        return _record(name, left, right, passed=same)
+
     concentrated = tuple(d if j == slot - 1 else 0 for j in range(r))
-    entry = table.entry(concentrated)
     single = filtration_multiplicity(Fs[slot - 1], strategy)
-    if exact:
-        passed = entry == single
-    else:
-        passed = abs(float(entry) - float(single)) <= tolerance
-    records.append(
-        InequalityRecord(
-            name=f"concentrated[slot={slot}]",
-            left=float(entry),
-            right=float(single),
-            slack=float(single) - float(entry),
-            passed=passed,
-        )
-    )
+    records = [equal(f"concentrated[slot={slot}]", table.entry(concentrated), single)]
     reduced = [F for j, F in enumerate(Fs) if j != slot - 1]
     rtable = mixed_multiplicity_table(reduced, strategy, seed=seed)
     for t in rtable.types():
         full_type = list(t)
         full_type.insert(slot - 1, 0)
-        lhs = table.entry(tuple(full_type))
-        rhs = rtable.entry(t)
-        if exact:
-            ok = lhs == rhs
-        else:
-            ok = abs(float(lhs) - float(rhs)) <= tolerance
-        records.append(
-            InequalityRecord(
-                name=f"zero_drop[{t}]",
-                left=float(lhs),
-                right=float(rhs),
-                slack=float(rhs) - float(lhs),
-                passed=ok,
-            )
-        )
+        records.append(equal(f"zero_drop[{t}]", table.entry(tuple(full_type)), rtable.entry(t)))
     passed = all(rec.passed for rec in records)
     return InequalityReport(tuple(records), passed, exact, {"d": d, "slot": slot})
 
@@ -324,15 +301,7 @@ def integrality_check(Iprime: MonomialIdeal) -> InequalityReport:
     e_prime = filtration_multiplicity(PowerFiltration(Iprime))
     e_closure = filtration_multiplicity(PowerFiltration(closure))
     passed = e_prime == e_closure
-    records = [
-        InequalityRecord(
-            name="closure_multiplicity",
-            left=float(e_prime),
-            right=float(e_closure),
-            slack=float(e_closure) - float(e_prime),
-            passed=passed,
-        )
-    ]
+    records = [_record("closure_multiplicity", e_prime, e_closure, passed=passed)]
     # informational converse: equal multiplicities with genuinely different
     # filtrations (powers of m versus shifted powers of m)
     d = Iprime.dim

@@ -1,10 +1,11 @@
 """Test oracles that reach the engine's exact values by another route."""
 
+import math
 from fractions import Fraction
 
 from filtmult.errors import DimensionMismatch
 from filtmult.filtrations import product_at
-from filtmult.geometry import minimal_elements
+from filtmult.geometry import covolume_from_gens, minimal_elements
 from filtmult.multiplicity import LimitEstimate
 from filtmult.staircase import MonomialIdeal, colength, product, unit_ideal
 
@@ -67,3 +68,24 @@ def generic_numeric_limit(Fs, n, strategy) -> LimitEstimate:
     )
     error = abs(samples[-1][1] - samples[-2][1])
     return LimitEstimate(samples[-1][1], error, False, strategy.tag, samples)
+
+
+def minkowski_points(bodies, weights) -> tuple[list[tuple[int, ...]], int]:
+    """The body sum_j v_j * conv(G_j/D_j) as integer points over
+    D = lcm(D_j), for bodies given as (G_j, D_j) pairs: the Minkowski sum of
+    the v_j * (D/D_j) * G_j, reduced to minimal elements before each summand
+    but not after the last."""
+    D = math.lcm(*(Dj for _, Dj in bodies))
+    total = [(0,) * len(bodies[0][0][0])]
+    for (G, Dj), v in zip(bodies, weights):
+        c = v * (D // Dj)
+        total = [tuple(x + c * y for x, y in zip(p, g)) for p in minimal_elements(total) for g in G]
+    return total, D
+
+
+def minkowski_covolume(bodies, weights) -> Fraction:
+    """covol(sum_j v_j * conv(G_j/D_j) + orthant) as covol(G) / D^d for the
+    summed points G of ``minkowski_points``."""
+    G, D = minkowski_points(bodies, weights)
+    d = len(G[0])
+    return covolume_from_gens(G, d) / D**d

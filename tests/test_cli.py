@@ -576,6 +576,32 @@ def test_exit_code_2_on_bad_integer_spec_fields(tmp_path, capsys, name):
     assert check_report(out)["error"]["code"] == "SpecValidationError"
 
 
+NOT_AN_OBJECT_SPECS = {
+    "minkowski-spec": ("minkowski", [1]),
+    "integrality-spec": ("integrality", [1]),
+    "demo-spec": ("multigraded-demo", [1]),
+    "minkowski-suite": ("minkowski", {"suite": 3}),
+    "integrality-suite": ("integrality", {"suite": 3}),
+    "minkowski-pair-entry": ("minkowski", {"pair": [_power([[2, 0], [0, 1]]), 7]}),
+    "multiplicity-strategy": ("multiplicity", {"filtration": _power([[2, 0], [0, 1]]), "strategy": 5}),
+    "multiplicity-filtration": ("multiplicity", {"filtration": 5}),
+    "mixed-filtrations-entry": ("mixed", {"filtrations": [3]}),
+    "truncated-base": ("multiplicity", {"filtration": {"kind": "truncated", "base": 5, "a": 2}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_AN_OBJECT_SPECS))
+def test_exit_code_2_on_json_values_that_are_not_objects(tmp_path, capsys, name):
+    task, spec = NOT_AN_OBJECT_SPECS[name]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, [task, "--input", str(path)])
+    assert code == 2
+    error = check_report(out)["error"]
+    assert error["code"] == "SpecValidationError"
+    assert "a JSON object only" in error["message"]
+
+
 BUDGET_CASES = {
     "okounkov-zero": ("okounkov", {"filtration": TRUNCATED_SQRT2}, "0"),
     "okounkov-negative": ("okounkov", {"filtration": TRUNCATED_SQRT2}, "-3"),

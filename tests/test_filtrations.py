@@ -21,10 +21,12 @@ from filtmult.filtrations import (
     truncate,
     verify_filtration,
 )
-from filtmult.geometry import covolume_from_gens
+from filtmult.geometry import Body, covolume_from_gens, minimal_elements
 from filtmult.multiplicity import fit_quasi_polynomial, limit_normalized_colength
 from filtmult.quadratic import SQRT2, QuadraticIrrational
 from filtmult.staircase import maximal_ideal, minimalize, power, product, unit_ideal
+
+from oracles import minkowski_covolume, minkowski_points
 
 
 def I2(*gens):
@@ -317,18 +319,18 @@ def half_table(N: int) -> TableFiltration:
 
 def test_limit_body_per_kind():
     I = I2((3, 0), (1, 1), (0, 2))
-    assert PowerFiltration(I).limit_body() == (list(I.gens), 1)
-    assert rational_diagonal(Fraction(3, 2)).limit_body() == ([(3,)], 2)
+    assert PowerFiltration(I).limit_body() == Body(list(I.gens), 1)
+    assert rational_diagonal(Fraction(3, 2)).limit_body() == Body([(3,)], 2)
     half = MonomialValuationFiltration([one, QuadraticIrrational.rational(Fraction(1, 2))])
-    assert half.limit_body()[1] == 1
+    assert half.limit_body().denominator == 1
     for F in (diag_sqrt2(), MonomialValuationFiltration([one, SQRT2])):
         with pytest.raises(NotNoetherian):
             F.limit_body()
     # a table takes the body of the filtration it generates: here (x) in
     # both degrees K = {1, 2}, so D = 2, and a short table is enough
-    assert half_table(16).limit_body() == ([(2,), (1,)], 2)
-    assert half_table(2).limit_body() == ([(2,), (1,)], 2)
-    assert TableFiltration([minimalize([(1,)], 1), minimalize([(2,)], 1)]).limit_body() == ([(1,)], 1)
+    assert half_table(16).limit_body() == Body([(2,), (1,)], 2)
+    assert half_table(2).limit_body() == Body([(2,), (1,)], 2)
+    assert TableFiltration([minimalize([(1,)], 1), minimalize([(2,)], 1)]).limit_body() == Body([(1,)], 1)
     # x * x is not in (x^3): no filtration, so no body
     with pytest.raises(SpecValidationError, match="multiplicative"):
         TableFiltration([minimalize([(1,)], 1), minimalize([(3,)], 1)]).limit_body()
@@ -341,6 +343,12 @@ def test_table_body_is_computed_once(monkeypatch):
     assert table.limit_body() is body
 
 
+def test_limit_bodies_are_built_once():
+    product = PointwiseProductFiltration(PowerFiltration(m2), ShiftedPowerFiltration(m2, 1))
+    for F in (PowerFiltration(m2), truncate(diag_sqrt2(), 5), product):
+        assert F.limit_body() is F.limit_body()
+
+
 def test_truncated_table_takes_the_table_verdict_once(monkeypatch):
     # x * x is not in (x^3)
     table = TableFiltration([minimalize([(1,)], 1), minimalize([(3,)], 1)])
@@ -351,7 +359,7 @@ def test_truncated_table_takes_the_table_verdict_once(monkeypatch):
         with pytest.raises(SpecValidationError, match=r"multiplicative fails at \(1, 1\)"):
             F.limit_body()
     assert calls == [2]
-    assert truncate(half_table(4), 2).limit_body() == ([(2,), (1,)], 2)
+    assert truncate(half_table(4), 2).limit_body() == Body([(2,), (1,)], 2)
 
 
 def test_irrational_bodies_raise_without_detection():
@@ -378,7 +386,7 @@ def test_power_scale_truncated_d1_is_density_argmin(a):
     assert all(F.ideal_at(s * i) == power(F.ideal_at(s), i) for i in range(2, 6))
     # the body's period is the lcm of the generating degrees
     L = math.lcm(*diagonal_generating_degrees(exponents))
-    assert F.limit_body()[1] == L
+    assert F.limit_body().denominator == L
     assert fit_quasi_polynomial([F], L).top_coefficients() == {(1,): density[s]}
 
 
@@ -388,16 +396,16 @@ def test_sqrt2_truncated_at_12_fits_at_period_84():
     exponents = {p: math.isqrt(2 * p * p) + 1 for p in range(1, 21)}
     assert diagonal_generating_degrees({p: exponents[p] for p in range(1, 13)}) == [1, 2, 7, 12]
     F = truncate(diag_sqrt2(), 12)
-    assert F.limit_body()[1] == 84
-    assert truncate(diag_sqrt2(), 20).limit_body()[1] == 84
+    assert F.limit_body().denominator == 84
+    assert truncate(diag_sqrt2(), 20).limit_body().denominator == 84
     assert fit_quasi_polynomial([F], 84).top_coefficients() == {(1,): Fraction(17, 12)}
 
 
-def full_truncation_body(F) -> tuple[list[tuple[int, ...]], int]:
+def full_truncation_body(F) -> Body:
     """The union over every part k <= a of (1/k) * gens(I_k), over lcm(1..a):
     the truncation's body before the generating degrees are picked out."""
     L = math.lcm(*range(1, F.a + 1))
-    return [tuple(L // k * e for e in g) for k in range(1, F.a + 1) for g in F.base.ideal_at(k).gens], L
+    return Body([tuple(L // k * e for e in g) for k in range(1, F.a + 1) for g in F.base.ideal_at(k).gens], L)
 
 
 @st.composite
@@ -420,11 +428,12 @@ def truncations(draw):
 @given(truncations())
 @settings(max_examples=30, deadline=None)
 def test_truncation_body_keeps_the_full_covolume_at_a_period_of_lcm_k(F):
-    (G, D), (H, L) = F.limit_body(), full_truncation_body(F)
-    d = F.dim
-    assert L % D == 0
-    volume = covolume_from_gens(G, d) / D**d
-    assert volume == covolume_from_gens(H, d) / L**d
+    body = F.limit_body()
+    full = full_truncation_body(F)
+    d, D = F.dim, body.denominator
+    assert full.denominator % D == 0
+    volume = body.covolume()
+    assert volume == full.covolume()
     # in d = 2 a period in the hundreds (a = 8 reaches 280) makes the fit
     # take seconds, and in d = 3 every fit does
     if d == 1 or (d == 2 and F.a <= 4):
@@ -520,6 +529,62 @@ def test_limit_body_matches_detected_scale_oracle(family):
 
 
 @st.composite
+def summands(draw, d, kinds=("power", "valuation", "diagonal", "truncated", "table", "product")):
+    """A d-dimensional filtration of a kind with an exact limit body: a
+    power, a rational valuation or diagonal (d = 1), a truncation, a table
+    of a power's or valuation's first terms, or a pointwise product."""
+    kind = draw(st.sampled_from([k for k in kinds if k != "diagonal" or d == 1]))
+    ratio = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3))
+    if kind == "power":
+        return PowerFiltration(draw(m_primary_ideals(d, 4 if d < 3 else 2)))
+    if kind == "valuation":
+        return MonomialValuationFiltration([QuadraticIrrational.rational(w) for w in draw(st.lists(ratio, min_size=d, max_size=d))])
+    if kind == "diagonal":
+        return rational_diagonal(draw(ratio))
+    if kind == "truncated":
+        rate = QuadraticIrrational.sqrt(draw(st.sampled_from([2, 3, 5])))
+        if d == 1:
+            return truncate(DiagonalFiltration([rate]), draw(st.integers(1, 4)))
+        weights = [one, rate] + [QuadraticIrrational(Fraction(3, 2), Fraction(1, 2), rate.s)] * (d - 2)
+        return truncate(MonomialValuationFiltration(draw(st.permutations(weights))), draw(st.integers(1, 3 if d < 3 else 2)))
+    if kind == "table":
+        base = draw(summands(d, ("power", "valuation")))
+        return TableFiltration([base.ideal_at(n) for n in range(1, draw(st.integers(1, 3)) + 1)])
+    left, right = (draw(summands(d, ("power", "valuation", "diagonal", "truncated"))) for _ in range(2))
+    return PointwiseProductFiltration(left, right)
+
+
+@st.composite
+def weighted_summands(draw):
+    d = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 3))
+    return [draw(summands(d)) for _ in range(r)], draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+
+
+def tuple_body(F) -> tuple[list[tuple[int, ...]], int]:
+    """The limit body of F as (points, denominator), with a pointwise
+    product summed by ``minkowski_points`` instead of by ``Body``."""
+    if isinstance(F, PointwiseProductFiltration):
+        return minkowski_points([tuple_body(F.left), tuple_body(F.right)], (1, 1))
+    body = F.limit_body()
+    return list(body.points), body.denominator
+
+
+@given(weighted_summands())
+@settings(max_examples=60, deadline=None)
+def test_minkowski_sums_of_bodies_match_the_tuple_route(family):
+    Fs, weights = family
+    bodies = [tuple_body(F) for F in Fs]
+    first, *rest = (v * F.limit_body() for F, v in zip(Fs, weights))
+    total = sum(rest, first)
+    points, D = minkowski_points(bodies, weights)
+    assert (total.points, total.denominator) == (tuple(minimal_elements(points)), D)
+    expected = minkowski_covolume(bodies, weights)
+    assert total.covolume() == expected
+    assert limit_normalized_colength(Fs, weights).value == expected
+
+
+@st.composite
 def periodic_filtrations(draw):
     """A filtration in d <= 2 whose body denominator is a proven period,
     kept small so that a fit at twice that period stays cheap."""
@@ -542,7 +607,7 @@ def periodic_filtrations(draw):
 @given(periodic_filtrations())
 @settings(max_examples=40, deadline=None)
 def test_quasi_polynomial_fits_at_the_body_period(F):
-    D = F.limit_body()[1]
+    D = F.limit_body().denominator
     top = {(F.dim,): limit_normalized_colength([F], (1,)).value}
     for alpha in (D, 2 * D):
         assert fit_quasi_polynomial([F], alpha).top_coefficients() == top

@@ -469,7 +469,7 @@ def regions_with_points(draw):
     region = newton_region(minimalize(gens, d))
     coord = st.one_of(st.integers(-2, 8), st.fractions(min_value=-2, max_value=8, max_denominator=12))
     point = draw(st.tuples(*[coord] * d))
-    k = len(region.generators)
+    k = len(region.points)
     weights = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k).filter(any))
     shift = draw(st.tuples(*[st.fractions(min_value=0, max_value=3, max_denominator=7)] * d))
     return region, point, weights, shift
@@ -483,7 +483,7 @@ def test_newton_region_member_on_rational_points(case):
     # a convex combination of generators plus an orthant vector lies inside
     total = sum(weights)
     combo = tuple(
-        sum(Fraction(w * g[i], total) for w, g in zip(weights, region.generators)) + shift[i]
+        sum(Fraction(w * g[i], total) for w, g in zip(weights, region.points)) + shift[i]
         for i in range(region.dim)
     )
     assert region.member(combo)
