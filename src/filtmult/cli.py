@@ -90,10 +90,18 @@ def _exact_strategy(spec: dict, budget: int | None) -> ExactStrategy:
     return strategy
 
 
+def _family(specs) -> list[Filtration]:
+    """The filtrations of a spec list, which must share one ambient dimension."""
+    Fs = [filtration_from_json(f) for f in specs]
+    if len({F.dim for F in Fs}) > 1:
+        raise SpecValidationError("filtrations have mixed ambient dimensions")
+    return Fs
+
+
 def _filtration_list(spec: dict) -> list[Filtration]:
     if "filtrations" not in spec:
         raise SpecValidationError("problem needs a 'filtrations' list")
-    return [filtration_from_json(f) for f in spec["filtrations"]]
+    return _family(spec["filtrations"])
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +165,9 @@ def _task_okounkov(spec, args):
 
 def _task_minkowski(spec, args):
     if "pair" in spec:
-        F1 = filtration_from_json(spec["pair"][0])
-        F2 = filtration_from_json(spec["pair"][1])
+        if not isinstance(spec["pair"], list) or len(spec["pair"]) != 2:
+            raise SpecValidationError("'pair' needs a list of exactly two filtrations")
+        F1, F2 = _family(spec["pair"])
         strategy = _strategy_from_json(spec.get("strategy"), args.budget)
         report = minkowski_report(F1, F2, strategy, seed=args.seed)
         return report.to_json(), report.passed

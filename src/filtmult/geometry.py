@@ -309,8 +309,7 @@ def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
     if dim == 1:
         return Fraction(caps[0])
     if dim == 2:
-        polygon = [(0, 0)] + lower_left_chain(pts)
-        return polygon_area(polygon)
+        return polygon_area([(0, 0)] + _monotone_chain(pts))
     return _cone_sum_3d(pts, True)
 
 
@@ -347,6 +346,8 @@ class Body:
         return Body(sums, D)
 
     def __rmul__(self, k: int) -> "Body":
+        if k == 1:
+            return self
         return Body([tuple(k * x for x in p) for p in self.points], self.denominator)
 
     def covolume(self) -> Fraction:

@@ -8,6 +8,10 @@ bodies, the closures of the unions of the (1/m)*Newton(I_m) (Cutkosky,
 Theory 2013; Kaveh-Khovanskii, Proc. Steklov Inst. 2014), each a
 ``geometry.Body``; a numeric strategy extrapolates colengths instead.
 Mixed multiplicities are the normalized coefficients of that polynomial.
+A ``LimitFunction`` memoizes P for one family.  Exact entries are its
+finite differences e(t) = Delta^t P(0) (polarization), which need P only
+at the primitive points below t; numeric entries are solved for from P at
+sample points.
 
 The dimension picks the exact engine on the summed body.  For d <= 3 the
 limit is its covolume.  For d >= 4, where no covolume kernel exists, it is
@@ -20,6 +24,7 @@ target-free finite-difference oracle of its own.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import random
@@ -214,8 +219,60 @@ def limit_normalized_colength(
     return LimitEstimate(value, Fraction(0), True, strategy.tag)
 
 
+class LimitFunction:
+    """n -> ``limit_normalized_colength(Fs, n, strategy)``, memoized by index.
+
+    Under the exact strategy the limit is homogeneous of degree d, so only
+    primitive indices are evaluated: P(n) = g^d * P(n / g) for g = gcd(n).
+    ``without(slot)`` is the limit function of the family with that
+    filtration left out.  It reads the same memo, since a zero index drops
+    its factor.
+    """
+
+    def __init__(self, Fs: list[Filtration], strategy: Strategy | None = None):
+        self.d = _validate_family(Fs)
+        self.Fs = list(Fs)
+        self.strategy = strategy if strategy is not None else ExactStrategy()
+        self.slots = tuple(range(len(self.Fs)))
+        self._memo: dict[Exponent, LimitEstimate] = {}
+
+    @property
+    def r(self) -> int:
+        return len(self.slots)
+
+    def without(self, slot: int) -> LimitFunction:
+        """The limit function of this family without filtration ``slot``
+        (counted from 1)."""
+        if not 1 <= slot <= self.r:
+            raise ValueError(f"slot must be in 1..{self.r}")
+        view = copy.copy(self)
+        view.slots = self.slots[: slot - 1] + self.slots[slot:]
+        return view
+
+    def __call__(self, n) -> LimitEstimate:
+        n = tuple(spec_int(v, "indices") for v in n)
+        if len(n) != self.r:
+            raise DimensionMismatch(f"{self.r} filtrations but {len(n)} indices")
+        full = [0] * len(self.Fs)
+        for s, v in zip(self.slots, n):
+            full[s] = v
+        return self._at(tuple(full))
+
+    def _at(self, n: Exponent) -> LimitEstimate:
+        est = self._memo.get(n)
+        if est is None:
+            g = math.gcd(*n) if isinstance(self.strategy, ExactStrategy) else 1
+            if g > 1:
+                base = self._at(tuple(v // g for v in n))
+                est = LimitEstimate(g**self.d * base.value, Fraction(0), True, base.strategy)
+            else:
+                est = limit_normalized_colength(self.Fs, n, self.strategy)
+            self._memo[n] = est
+        return est
+
+
 # ---------------------------------------------------------------------------
-# Sample points and coefficient extraction
+# Mixed multiplicities
 
 
 def degree_monomials(r: int, d: int) -> list[Exponent]:
@@ -259,6 +316,9 @@ class MixedMultiplicityTable:
     """Mixed multiplicities e(type) for all types (d_1..d_r) with sum = d.
 
     The limit polynomial is G(n) = sum_type entry(type) / prod(d_i!) * n^type.
+    ``points`` are the sample points of ``sample_points``.  Numeric entries
+    are solved for from G at those points; exact entries are finite
+    differences of G and do not depend on them.
     """
 
     d: int
@@ -300,27 +360,47 @@ class MixedMultiplicityTable:
 
 
 def mixed_multiplicity_table(
-    Fs: list[Filtration], strategy: Strategy | None = None, seed: int = 0
+    Fs: list[Filtration] | LimitFunction, strategy: Strategy | None = None, seed: int = 0
 ) -> MixedMultiplicityTable:
-    """Solve for the coefficients of the limit polynomial G at sample points.
+    """The mixed multiplicities of a family, or of a ``LimitFunction``'s
+    family through its memo and strategy (then ``strategy`` must be None).
 
-    b_j = G(point_j) is evaluated by ``limit_normalized_colength``; the
-    homogeneous coefficients a solve B a = b exactly, and the table entry of
-    type (d_1..d_r) is the coefficient times d_1! ... d_r!.
+    Exact strategy: each entry is the finite difference of the homogeneous
+    limit polynomial P of degree d at 0,
+    e(t) = sum_{0 <= k <= t} (-1)^(d - |k|) prod_i C(t_i, k_i) P(k);
+    no system is solved.
+    Numeric strategy: b_j = P(point_j) at ``sample_points(r, d, seed)``; the
+    homogeneous coefficients a solve B a = b exactly, and the entry of type
+    (d_1..d_r) is the coefficient times d_1! ... d_r!.
     """
-    strategy = strategy if strategy is not None else ExactStrategy()
-    d = _validate_family(Fs)
-    r = len(Fs)
+    if isinstance(Fs, LimitFunction):
+        if strategy is not None:
+            raise ValueError("a LimitFunction carries its own strategy")
+        P = Fs
+    else:
+        P = LimitFunction(Fs, strategy)
+    d, r = P.d, P.r
     points = sample_points(r, d, seed)
-    estimates = [limit_normalized_colength(Fs, p, strategy) for p in points]
-    exact = all(est.exact for est in estimates)
-    coeffs = linalg.solve(monomial_matrix(points, d), [est.value for est in estimates])
-    entries = {
-        e: a * math.prod(math.factorial(i) for i in e)
-        for e, a in zip(degree_monomials(r, d), coeffs)
-    }
+    if isinstance(P.strategy, ExactStrategy):
+        entries = {
+            t: sum(
+                (-1) ** (d - sum(k)) * math.prod(map(math.comb, t, k)) * P(k).value
+                for k in itertools.product(*(range(v + 1) for v in t))
+                if any(k)
+            )
+            for t in degree_monomials(r, d)
+        }
+        exact = True
+    else:
+        estimates = [P(p) for p in points]
+        exact = all(est.exact for est in estimates)
+        coeffs = linalg.solve(monomial_matrix(points, d), [est.value for est in estimates])
+        entries = {
+            e: a * math.prod(math.factorial(i) for i in e)
+            for e, a in zip(degree_monomials(r, d), coeffs)
+        }
     return MixedMultiplicityTable(
-        d=d, r=r, entries=entries, exact=exact, points=tuple(points), strategy=strategy.tag
+        d=d, r=r, entries=entries, exact=exact, points=tuple(points), strategy=P.strategy.tag
     )
 
 

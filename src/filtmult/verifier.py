@@ -19,12 +19,12 @@ from .errors import DimensionMismatch, SpecValidationError, spec_int
 from .filtrations import (
     CeilingNormMultiFiltration,
     Filtration,
-    PointwiseProductFiltration,
     PowerFiltration,
     ShiftedPowerFiltration,
 )
 from .multiplicity import (
     ExactStrategy,
+    LimitFunction,
     Strategy,
     degree_monomials,
     filtration_multiplicity,
@@ -187,19 +187,19 @@ def minkowski_report(
 ) -> InequalityReport:
     """Verify the four Minkowski inequality families for a filtration pair.
 
-    e_i denotes the mixed multiplicity of type (i, d-i).  With the exact
-    strategy every verdict is an exact rational comparison; the d-th root
-    inequality is decided by ``root_sum_compare``.
+    e_i denotes the mixed multiplicity of type (i, d-i).  The table and
+    e(F1) = d! P(1,0), e(F2) = d! P(0,1) and e(F1 F2) = d! P(1,1) all read
+    one memoized limit function P of the pair.  With the exact strategy
+    every verdict is an exact rational comparison; the d-th root inequality
+    is decided by ``root_sum_compare``.
     """
     if F1.dim != F2.dim:
         raise DimensionMismatch("minkowski report needs equal dimensions")
     d = F1.dim
-    strategy = strategy if strategy is not None else ExactStrategy()
-    table = mixed_multiplicity_table([F1, F2], strategy, seed=seed)
+    P = LimitFunction([F1, F2], strategy)
+    table = mixed_multiplicity_table(P, seed=seed)
     e = {i: table.entry((i, d - i)) for i in range(d + 1)}
-    e1 = filtration_multiplicity(F1, strategy)
-    e2 = filtration_multiplicity(F2, strategy)
-    eprod = filtration_multiplicity(PointwiseProductFiltration(F1, F2), strategy)
+    e1, e2, eprod = (math.factorial(d) * P(n).value for n in ((1, 0), (0, 1), (1, 1)))
     exact = table.exact
     tol = 0.0 if exact else tolerance
     records = []
@@ -259,28 +259,31 @@ def rees_identity_check(
     seed: int = 0,
 ) -> InequalityReport:
     """Check that concentrating all weight on one slot recovers the plain
-    multiplicity, and that zero-weight slots drop out of the table."""
+    multiplicity, and that zero-weight slots drop out of the table.
+
+    Every value reads one memoized limit function P of the family; the
+    reduced family's is P with a zero index in the slot.
+    """
     r = len(Fs)
     if not 1 <= slot <= r:
         raise ValueError(f"slot must be in 1..{r}")
-    strategy = strategy if strategy is not None else ExactStrategy()
-    d = Fs[0].dim
+    P = LimitFunction(Fs, strategy)
+    d = P.d
+    unit = tuple(int(j == slot - 1) for j in range(r))
+    single = math.factorial(d) * P(unit).value
     if r == 1:
-        single = filtration_multiplicity(Fs[0], strategy)
         rec = _record("tautology[r=1]", single, single, passed=True)
-        return InequalityReport((rec,), True, isinstance(strategy, ExactStrategy), {"d": d})
-    table = mixed_multiplicity_table(Fs, strategy, seed=seed)
+        return InequalityReport((rec,), True, isinstance(P.strategy, ExactStrategy), {"d": d})
+    table = mixed_multiplicity_table(P, seed=seed)
     exact = table.exact
 
     def equal(name, left, right):
         same = left == right if exact else abs(float(left) - float(right)) <= tolerance
         return _record(name, left, right, passed=same)
 
-    concentrated = tuple(d if j == slot - 1 else 0 for j in range(r))
-    single = filtration_multiplicity(Fs[slot - 1], strategy)
+    concentrated = tuple(d * v for v in unit)
     records = [equal(f"concentrated[slot={slot}]", table.entry(concentrated), single)]
-    reduced = [F for j, F in enumerate(Fs) if j != slot - 1]
-    rtable = mixed_multiplicity_table(reduced, strategy, seed=seed)
+    rtable = mixed_multiplicity_table(P.without(slot), seed=seed)
     for t in rtable.types():
         full_type = list(t)
         full_type.insert(slot - 1, 0)

@@ -3,10 +3,17 @@
 import math
 from fractions import Fraction
 
+from filtmult import linalg
 from filtmult.errors import DimensionMismatch
 from filtmult.filtrations import product_at
 from filtmult.geometry import covolume_from_gens, minimal_elements
-from filtmult.multiplicity import LimitEstimate
+from filtmult.multiplicity import (
+    LimitEstimate,
+    degree_monomials,
+    limit_normalized_colength,
+    monomial_matrix,
+    sample_points,
+)
 from filtmult.staircase import MonomialIdeal, colength, product, unit_ideal
 
 # Powers taken per dimension.  Deep enough for every ideal the tests draw,
@@ -89,3 +96,18 @@ def minkowski_covolume(bodies, weights) -> Fraction:
     G, D = minkowski_points(bodies, weights)
     d = len(G[0])
     return covolume_from_gens(G, d) / D**d
+
+
+def solved_table(Fs, strategy=None, seed: int = 0) -> dict:
+    """Mixed multiplicities solved for from the limit at sample points: the
+    values b_j = P(point_j) give the coefficients a of B a = b, and the
+    entry of type t is a_t * t!.  It calls ``limit_normalized_colength``
+    directly, so it shares no memo with ``LimitFunction``."""
+    d, r = Fs[0].dim, len(Fs)
+    points = sample_points(r, d, seed)
+    values = [limit_normalized_colength(Fs, p, strategy).value for p in points]
+    coeffs = linalg.solve(monomial_matrix(points, d), values)
+    return {
+        t: a * math.prod(math.factorial(i) for i in t)
+        for t, a in zip(degree_monomials(r, d), coeffs)
+    }

@@ -776,6 +776,73 @@ def test_okounkov_on_the_d3_maximal_ideal(tmp_path, capsys):
     assert report["limit"] == {"exact": True, "strategy": "exact_noetherian", "value": "1/6"}
 
 
+# SHA-256 of numeric Rees reports on r = 3 families, recorded while the
+# reduced table and the single multiplicity were computed apart from the
+# full table: (spec, seed, digest).  Both exit 3, since numeric entries
+# differ from the direct multiplicities.
+NUMERIC_REES_PINS = {
+    "powers-and-valuation": (
+        {
+            "filtrations": [
+                _power([[3, 0], [1, 1], [0, 2]]),
+                _power([[2, 0], [0, 5]]),
+                {"kind": "valuation", "weights": ["1", "1/2"]},
+            ],
+            "slot": 2,
+            "strategy": {"kind": "numeric", "m_max": 16},
+        },
+        0,
+        "40ac4510245e2879d43dcfb5677fd74a15b39c8c6b7b079e3ffacb1aaeef9897",
+    ),
+    "powers": (
+        {
+            "filtrations": [
+                _power([[3, 0], [1, 1], [0, 2]]),
+                _power([[2, 0], [0, 5]]),
+                _power([[4, 0], [2, 1], [0, 3]]),
+            ],
+            "slot": 3,
+            "strategy": {"kind": "numeric", "m_max": 16},
+        },
+        5,
+        "ca13cec6e04253f78a3680097d244076b54bf61d14097f4486e5bc12ed621dca",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_REES_PINS))
+def test_numeric_rees_report_bytes_pinned(tmp_path, capsys, name):
+    spec, seed, digest = NUMERIC_REES_PINS[name]
+    path = write(tmp_path, "p.json", spec)
+    code, out = run_cli(capsys, ["rees", "--input", path, "--seed", str(seed)])
+    assert code == 3
+    check_report(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+M2 = _power([[1, 0], [0, 1]])
+M3 = _power([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+# (task, spec): a pair that is not two filtrations, or filtrations of
+# different dimensions, is an input error
+MALFORMED_FAMILIES = {
+    "pair-of-one": ("minkowski", {"pair": [M2]}),
+    "pair-of-three": ("minkowski", {"pair": [M2, M2, 7]}),
+    "pair-mixed-dims": ("minkowski", {"pair": [M2, M3]}),
+    "mixed-mixed-dims": ("mixed", {"filtrations": [M2, M3]}),
+    "rees-mixed-dims": ("rees", {"filtrations": [M2, M2, M3], "slot": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FAMILIES))
+def test_exit_code_2_on_malformed_families(tmp_path, capsys, name):
+    task, spec = MALFORMED_FAMILIES[name]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(spec))  # some of these break the input schema
+    code, out = run_cli(capsys, [task, "--input", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "SpecValidationError"
+
+
 # SHA-256 of reports at --seed 3 recorded while linalg.solve, monomial
 # matrices, polygon areas and Newton-region membership still worked in
 # Fraction arithmetic: the 6x6 table solve and its sample points, a Rees

@@ -14,10 +14,12 @@ from filtmult.filtrations import (
     PointwiseProductFiltration,
     PowerFiltration,
     ShiftedPowerFiltration,
+    TableFiltration,
     truncate,
 )
 from filtmult.multiplicity import (
     ExactStrategy,
+    LimitFunction,
     NumericStrategy,
     degree_monomials,
     filtration_multiplicity,
@@ -34,7 +36,7 @@ from filtmult.quadratic import SQRT2, QuadraticIrrational
 from filtmult.staircase import colength, maximal_ideal, minimalize, power, product
 from filtmult.verifier import random_m_primary_ideal
 
-from oracles import finite_difference_oracle, generic_numeric_limit
+from oracles import finite_difference_oracle, generic_numeric_limit, solved_table
 
 
 def I2(*gens):
@@ -573,3 +575,128 @@ def test_limit_rejects_non_integer_indices():
     assert limit_normalized_colength([F, F], (1, 0)).value == Fraction(5, 2)
     with pytest.raises(SpecValidationError):
         limit_normalized_colength([F, F], (1.7, 0.4))
+
+
+# -- polarization over one memoized limit function ----------------------------
+
+
+@st.composite
+def exact_summands(draw, d, kinds=("power", "shifted", "valuation", "diagonal", "truncated", "table", "product")):
+    """A d-dimensional filtration with an exact limit: a power or shifted
+    power, a rational valuation or (d = 1) diagonal, a truncation of a
+    Q(sqrt s) valuation or diagonal, a table of a power's first terms, or a
+    pointwise product; small in d = 3."""
+    kind = draw(st.sampled_from([k for k in kinds if k != "diagonal" or d == 1]))
+    cap = 4 if d < 3 else 2
+    caps = draw(st.lists(st.integers(1, cap), min_size=d, max_size=d))
+    gens = [tuple(c if j == i else 0 for j in range(d)) for i, c in enumerate(caps)]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, cap - 1)] * d).filter(any), max_size=2))
+    ideal = minimalize(gens, d)
+    ratio = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3))
+    if kind == "power":
+        return PowerFiltration(ideal)
+    if kind == "shifted":
+        return ShiftedPowerFiltration(ideal, draw(st.integers(1, 2)))
+    if kind == "valuation":
+        return MonomialValuationFiltration([QuadraticIrrational.rational(w) for w in draw(st.lists(ratio, min_size=d, max_size=d))])
+    if kind == "diagonal":
+        return DiagonalFiltration([QuadraticIrrational.rational(draw(ratio))])
+    if kind == "truncated":
+        rate = QuadraticIrrational.sqrt(draw(st.sampled_from([2, 3, 5])))
+        if d == 1:
+            return truncate(DiagonalFiltration([rate]), draw(st.integers(1, 4)))
+        one = QuadraticIrrational.rational(1)
+        weights = [one, rate] + [QuadraticIrrational(Fraction(3, 2), Fraction(1, 2), rate.s)] * (d - 2)
+        return truncate(MonomialValuationFiltration(draw(st.permutations(weights))), draw(st.integers(1, 3 if d < 3 else 2)))
+    if kind == "table":
+        return TableFiltration([power(ideal, n) for n in range(1, draw(st.integers(1, 3)) + 1)])
+    left, right = (draw(exact_summands(d, ("power", "shifted", "valuation", "diagonal"))) for _ in range(2))
+    return PointwiseProductFiltration(left, right)
+
+
+@st.composite
+def exact_families(draw):
+    d = draw(st.integers(1, 3))
+    return [draw(exact_summands(d)) for _ in range(draw(st.integers(1, 3)))]
+
+
+@given(exact_families(), st.integers(0, 30))
+@settings(max_examples=60, deadline=None)
+def test_polarized_tables_match_the_sample_point_solve(Fs, seed):
+    table = mixed_multiplicity_table(Fs, seed=seed)
+    assert table.exact
+    assert table.entries == solved_table(Fs, ExactStrategy(), seed)
+    assert table.points == tuple(sample_points(len(Fs), Fs[0].dim, seed))
+
+
+@given(exact_families().filter(lambda Fs: len(Fs) > 1))
+@settings(max_examples=25, deadline=None)
+def test_a_zero_index_drops_its_factor_from_the_limit_function(Fs):
+    P = LimitFunction(Fs)
+    d, r = P.d, P.r
+    for slot in range(1, r + 1):
+        reduced = Fs[: slot - 1] + Fs[slot:]
+        for t in degree_monomials(r - 1, d):
+            assert P.without(slot)(t) == limit_normalized_colength(reduced, t)
+        assert mixed_multiplicity_table(P.without(slot)).entries == mixed_multiplicity_table(reduced).entries
+
+
+@given(exact_families().filter(lambda Fs: len(Fs) == 2))
+@settings(max_examples=25, deadline=None)
+def test_pointwise_product_multiplicity_is_the_limit_at_one_one(Fs):
+    F1, F2 = Fs
+    P = LimitFunction([F1, F2])
+    assert filtration_multiplicity(PointwiseProductFiltration(F1, F2)) == math.factorial(P.d) * P((1, 1)).value
+
+
+def test_limit_function_evaluates_primitive_indices_once(monkeypatch):
+    calls = []
+
+    def spy(Fs, n, strategy=None):
+        calls.append(n)
+        return limit_normalized_colength(Fs, n, strategy)
+
+    monkeypatch.setattr(multiplicity, "limit_normalized_colength", spy)
+    F1, F2 = bhattacharya_pair()
+    P = LimitFunction([F1, F2])
+    base = P((1, 2)).value
+    assert P((3, 6)).value == 9 * base and P((1, 2)).value == base
+    assert calls == [(1, 2)]
+    # a numeric limit is not homogeneous in its samples, so every index is its own
+    Q = LimitFunction([F1, F2], NumericStrategy(m_max=8))
+    Q((1, 2)), Q((2, 4)), Q((2, 4))
+    assert calls == [(1, 2), (1, 2), (2, 4)]
+
+
+def test_limit_function_checks_its_indices():
+    P = LimitFunction(list(bhattacharya_pair()))
+    with pytest.raises(SpecValidationError):
+        P((1.0, 1))
+    with pytest.raises(multiplicity.DimensionMismatch):
+        P((1, 1, 1))
+    with pytest.raises(ValueError):
+        P((-2, -2))
+    with pytest.raises(ValueError):
+        P.without(3)
+
+
+def test_exact_tables_solve_nothing(monkeypatch):
+    F1, F2 = bhattacharya_pair()
+    # the points are drawn up front: their nonsingularity test solves
+    drawn = {(r, 2, 11): sample_points(r, 2, 11) for r in (2, 3)}
+    monkeypatch.setattr(multiplicity, "sample_points", lambda r, d, seed: drawn[(r, d, seed)])
+
+    def no_solve(*args):
+        raise AssertionError("an exact table solved a system")
+
+    monkeypatch.setattr(linalg, "solve", no_solve)
+    table = mixed_multiplicity_table([F1, F2, PowerFiltration(maximal_ideal(2))], seed=11)
+    assert table.entry((1, 1, 0)) == 1
+    assert mixed_multiplicity_table([F1, F2], seed=11).points == tuple(drawn[(2, 2, 11)])
+
+
+def test_a_limit_function_table_takes_no_second_strategy():
+    P = LimitFunction(list(bhattacharya_pair()))
+    with pytest.raises(ValueError):
+        mixed_multiplicity_table(P, NumericStrategy())
+    assert mixed_multiplicity_table(P) == mixed_multiplicity_table(list(bhattacharya_pair()))

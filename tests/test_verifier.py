@@ -11,6 +11,7 @@ from filtmult.filtrations import (
     PowerFiltration,
     ShiftedPowerFiltration,
 )
+from filtmult import multiplicity
 from filtmult.multiplicity import NumericStrategy
 from filtmult.quadratic import SQRT2
 from filtmult.staircase import maximal_ideal, minimalize
@@ -148,6 +149,41 @@ def test_rees_three_slots():
     F3 = PowerFiltration(maximal_ideal(2))
     for slot in (1, 2, 3):
         assert rees_identity_check([F1, F2, F3], slot).passed
+
+
+# -- limit evaluations per report -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "check, evaluations",
+    [
+        # P(1,0), P(0,1) and P(1,1); a sample-point solve took 6
+        ("minkowski_d2", 3),
+        # also P(2,1) and P(1,2); a sample-point solve took 7
+        ("minkowski_d3", 5),
+        # the units and their pairwise sums; a sample-point solve took 10
+        ("rees_r3", 6),
+    ],
+)
+def test_reports_evaluate_each_primitive_limit_once(monkeypatch, check, evaluations):
+    calls = []
+    original = multiplicity.limit_normalized_colength
+
+    def spy(Fs, n, strategy=None):
+        calls.append(tuple(n))
+        return original(Fs, n, strategy)
+
+    monkeypatch.setattr(multiplicity, "limit_normalized_colength", spy)
+    F1, F2 = bhattacharya_pair()
+    if check == "minkowski_d2":
+        report = minkowski_report(F1, F2)
+    elif check == "minkowski_d3":
+        J = minimalize([(2, 0, 0), (0, 1, 0), (0, 0, 3)], 3)
+        report = minkowski_report(PowerFiltration(maximal_ideal(3)), PowerFiltration(J))
+    else:
+        report = rees_identity_check([F1, F2, PowerFiltration(maximal_ideal(2))], 2)
+    assert report.passed and report.exact
+    assert len(calls) == len(set(calls)) == evaluations
 
 
 # -- integrality ---------------------------------------------------------------------
