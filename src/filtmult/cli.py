@@ -142,7 +142,6 @@ def _task_truncate_converge(spec, args):
         [spec_int(a, "schedule entry", 1) for a in spec["schedule"]],
         targets=spec.get("targets"),
         strategy=_exact_strategy(spec, args.budget),
-        seed=args.seed,
     )
     return report.to_json(), None
 

@@ -5,14 +5,14 @@ point anywhere on a decision path.  The polyhedra that occur are the
 bodies ``conv(G/D) + R^d_{>=0}`` of integer points G over a denominator D
 (a ``Body``: limit bodies of filtrations, and Newton polyhedra of monomial
 ideals when D = 1), and convex hulls of semigroup fibers.  Bodies are
-described by their supporting planes through generators.  Covolumes and 3D
-hull volumes are both sums of origin cones over facets found among planes
-through point triples, so no vertex enumeration is needed.
+described by their supporting planes through generators.  In d = 3 one
+exact incremental hull gives the outward triangles behind hull volumes,
+covolumes and the compact facets of a body; each volume is a sum of
+origin cones over those triangles.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -117,87 +117,48 @@ def _normalize_ineq(normal: tuple[int, ...], offset: int):
     return normal, offset
 
 
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _plane_through(a, b, c):
-    """Normal of the plane through three 3D points, or (0, 0, 0) if collinear.
-
-    The sign is chosen so the first nonzero component is positive; a normal
-    with no positive component thus comes out nonnegative.
-    """
-    normal = _cross3(
-        (b[0] - a[0], b[1] - a[1], b[2] - a[2]),
-        (c[0] - a[0], c[1] - a[1], c[2] - a[2]),
-    )
-    if normal < (0, 0, 0):
-        return (-normal[0], -normal[1], -normal[2])
-    return normal
-
-
-def _supports(normal, offset: int, pts) -> bool:
-    """True when ``<normal, g> >= offset`` for every point g.
-
-    For an ``offset`` attained at one of the points, this says the plane
-    ``<normal, y> = offset`` supports ``conv(pts)`` there; with a
-    nonnegative normal it also supports ``conv(pts) + orthant``.
-    """
-    n0, n1, n2 = normal
-    return all(n0 * g[0] + n1 * g[1] + n2 * g[2] >= offset for g in pts)
+def _newton_family_2d(pts) -> set[tuple[tuple[int, int], int]]:
+    """The 2D family of ``newton_inequalities``: the positive axis bounds
+    and the edges of the lower-left chain."""
+    ineqs = set()
+    for i in range(2):
+        low = min(g[i] for g in pts)
+        if low > 0:
+            ineqs.add(((int(i == 0), int(i == 1)), low))
+    chain = lower_left_chain(pts)
+    for a, b in zip(chain, chain[1:]):
+        normal = (a[1] - b[1], b[0] - a[0])
+        ineqs.add(_normalize_ineq(normal, normal[0] * a[0] + normal[1] * a[1]))
+    return ineqs
 
 
 def newton_inequalities(gens: list[tuple[int, ...]], dim: int) -> list[tuple[tuple[int, ...], int]]:
     """Complete list of valid inequalities for ``conv(gens) + orthant``.
 
     The family contains every facet not implied by ``y >= 0`` plus the
-    per-axis bounds ``y_i >= min g_i``.  In d = 3 the facets are spanned by
-    three generators, or by two generators and a coordinate ray; such a
-    plane is kept only when it supports the polyhedron at its own
-    generators, so every member is tight at some generator.  Planes that
-    support the polyhedron only along an edge may remain; they are
-    redundant but harmless for membership tests.  Supported for dim <= 3.
+    per-axis bounds ``y_i >= min g_i`` when positive, each tight at some
+    generator.  In d = 2 the facets are the edges of the lower-left chain.
+    In d = 3 a facet is either compact, with a strictly positive normal
+    (see ``_compact_facets``), or its normal has a zero entry k, and then it
+    is the lift of an edge of the Newton polygon of the projection that
+    forgets coordinate k; the axis bounds lift from those projections too.
+    Supported for dim <= 3.
     """
     if dim > 3:
         raise DimensionUnsupported(f"Newton facets are only computed for d <= 3, got d = {dim}")
     pts = minimal_elements(gens)
-    ineqs: set[tuple[tuple[int, ...], int]] = set()
-    for i in range(dim):
-        low = min(g[i] for g in pts)
-        if low > 0:
-            normal = tuple(int(i == j) for j in range(dim))
-            ineqs.add((normal, low))
     if dim == 1:
-        return sorted(ineqs)
+        low = pts[0][0]
+        return [((1,), low)] if low > 0 else []
     if dim == 2:
-        chain = lower_left_chain(pts)
-        for a, b in zip(chain, chain[1:]):
-            normal = (a[1] - b[1], b[0] - a[0])
-            if normal[0] < 0 or normal[1] < 0:
-                continue
-            offset = normal[0] * a[0] + normal[1] * a[1]
-            ineqs.add(_normalize_ineq(normal, offset))
-        return sorted(ineqs)
-
-    # dim == 3: keep orthant-compatible normals of planes that are tight at
-    # the points spanning them and valid for every generator.
-    def consider(normal, a):
-        if normal == (0, 0, 0) or any(v < 0 for v in normal):
-            return
-        offset = normal[0] * a[0] + normal[1] * a[1] + normal[2] * a[2]
-        if offset > 0 and _supports(normal, offset, pts):
-            ineqs.add(_normalize_ineq(normal, offset))
-
-    for a, b, c in itertools.combinations(pts, 3):
-        consider(_plane_through(a, b, c), a)
-    for a, b in itertools.combinations(pts, 2):
-        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            # the plane through a and b that contains the ray from a along e
-            consider(_plane_through(a, b, (a[0] + e[0], a[1] + e[1], a[2] + e[2])), a)
+        return sorted(_newton_family_2d(pts))
+    ineqs = {_normalize_ineq((-n[0], -n[1], -n[2]), -offset) for n, offset in _compact_facets(pts)}
+    for k in range(3):
+        i, j = (t for t in range(3) if t != k)
+        for (ni, nj), offset in _newton_family_2d([(g[i], g[j]) for g in pts]):
+            normal = [0, 0, 0]
+            normal[i], normal[j] = ni, nj
+            ineqs.add((tuple(normal), offset))
     return sorted(ineqs)
 
 
@@ -209,55 +170,59 @@ def satisfies_inequalities(point, ineqs) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Volumes and covolumes: sums of origin cones over facets
+# 3D hulls: volumes, covolumes and compact facets
 
 
-def _cone_sum_3d(pts: list[tuple[int, int, int]], compact: bool) -> Fraction:
-    """Sum of ``b * T / (6 |n_k|)`` over the facets ``<n, y> >= b`` of ``conv(pts)``.
+def _plane(a, b, c):
+    """``(normal, offset)`` of the triangle (a, b, c): ``normal = (b - a) x
+    (c - a)`` and ``offset = <normal, a> = det(a, b, c)``."""
+    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+    v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
+    normal = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    return normal, normal[0] * a[0] + normal[1] * a[1] + normal[2] * a[2]
 
-    ``T`` is twice the area of the facet projected along an axis k with
-    ``n_k != 0``, so each term is the signed volume of the cone from the
-    origin over the facet.  By the divergence theorem the sum over all
-    facets is minus the volume of ``conv(pts)``; a flat cloud is tight on
-    both sides of its plane, and its two terms cancel.  With ``compact``
-    only strictly positive normals count, and the sum is the covolume of
-    ``conv(pts) + orthant`` (see ``covolume_from_gens``).  ``pts`` are
-    distinct integer points; each plane through three of them is taken
-    once, with a primitive normal whose first nonzero entry is positive,
-    before any support scan.
+
+def _hull_3d(points) -> list[tuple[tuple[int, int, int], int]]:
+    """The boundary of ``conv(points)`` as outward triangles, each given by
+    its ``_plane``, or ``[]`` when the distinct points are coplanar.
+
+    Beneath-beyond (de Berg et al., *Computational Geometry*, ch. 11): a
+    tetrahedron on the first sorted points, then every point in sorted
+    order.  The triangles a point sees strictly are dropped, and the cone
+    from the point over their horizon edges takes their place; a point that
+    sees none is inside or on the hull.  Only signs of integer 3x3
+    determinants decide anything, so the result depends on the point set
+    alone.
     """
-    total = Fraction(0)
-    seen: set = set()
-    for a, b, c in itertools.combinations(pts, 3):
-        normal = _plane_through(a, b, c)
-        if compact:
-            if normal[0] <= 0 or normal[1] <= 0 or normal[2] <= 0:
-                continue
-        elif normal == (0, 0, 0):
+    pts = sorted(set(points))
+    if len(pts) < 4:
+        return []
+    a, b = pts[0], pts[1]
+    c = next((p for p in pts if any(_plane(a, b, p)[0])), None)
+    if c is None:
+        return []
+    normal, offset = _plane(a, b, c)
+    d = next((p for p in pts if normal[0] * p[0] + normal[1] * p[1] + normal[2] * p[2] != offset), None)
+    if d is None:
+        return []
+    if normal[0] * d[0] + normal[1] * d[1] + normal[2] * d[2] > offset:
+        b, c = c, b
+    faces = [(*_plane(*t), t) for t in ((a, b, c), (a, d, b), (b, d, c), (c, d, a))]
+    for p in pts:
+        x, y, z = p
+        seen = [f for f in faces if f[0][0] * x + f[0][1] * y + f[0][2] * z > f[1]]
+        if not seen:
             continue
-        offset = normal[0] * a[0] + normal[1] * a[1] + normal[2] * a[2]
-        normal, offset = _normalize_ineq(normal, offset)
-        if (normal, offset) in seen:
-            continue
-        seen.add((normal, offset))
-        n0, n1, n2 = normal
-        side = _supports(normal, offset, pts)
-        if not compact:
-            side -= _supports((-n0, -n1, -n2), -offset, pts)
-        if not side:
-            continue
-        k = 2 if n2 else 1 if n1 else 0
-        # the two coordinates other than k, in cyclic order
-        tight = [(g[k - 2], g[k - 1]) for g in pts if n0 * g[0] + n1 * g[1] + n2 * g[2] == offset]
-        hull = convex_hull_2d(tight)
-        twice_area = sum(_cross2(hull[0], p, q) for p, q in zip(hull[1:], hull[2:]))
-        total += Fraction(side * offset * twice_area, 6 * abs(normal[k]))
-    return total
+        edges = {e for *_, (u, v, w) in seen for e in ((u, v), (v, w), (w, u))}
+        faces = [f for f in faces if f[0][0] * x + f[0][1] * y + f[0][2] * z <= f[1]]
+        faces += [(*_plane(u, v, p), (u, v, p)) for u, v in edges if (v, u) not in edges]
+    return [(normal, offset) for normal, offset, _ in faces]
 
 
 def hull_volume_3d(points: list[tuple[int, int, int]]) -> Fraction:
-    """Exact volume of the convex hull of a 3D integer point cloud."""
-    return -_cone_sum_3d(sorted(set(points)), False)
+    """Exact volume of the convex hull of a 3D integer point cloud: the sum
+    of ``det(a, b, c) / 6`` over its outward triangles."""
+    return Fraction(sum(offset for _, offset in _hull_3d(points)), 6)
 
 
 def hull_volume(points: list[tuple[int, ...]], dim: int) -> Fraction:
@@ -272,6 +237,20 @@ def hull_volume(points: list[tuple[int, ...]], dim: int) -> Fraction:
     raise DimensionUnsupported(f"exact hull volume needs d <= 3, got d = {dim}")
 
 
+def _compact_facets(pts) -> list[tuple[tuple[int, int, int], int]]:
+    """The triangles, as ``_plane``s, that tile the compact facets of
+    ``conv(pts) + orthant`` for minimal 3D points ``pts``.
+
+    They are the triangles of ``conv(pts + [q])``, q = (X, X, X) with X
+    above every coordinate, whose outward normal is strictly negative.  q
+    lies in the polyhedron but on no plane with a positive normal that
+    supports it, so it adds no such facet and removes none; it also makes
+    the set full-dimensional when the points are coplanar.
+    """
+    X = max(max(g) for g in pts) + 1
+    return [(normal, offset) for normal, offset in _hull_3d([*pts, (X, X, X)]) if max(normal) < 0]
+
+
 def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
     """Exact volume of the orthant complement of ``conv(gens) + orthant``.
 
@@ -284,16 +263,10 @@ def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
     facet ``<n, y> = b`` of the Newton polyhedron with ``b > 0``.  Because
     the ideal is m-primary, a facet whose normal has a zero component
     contains the pure power on that axis, so its ``b`` is 0.  Hence only the
-    compact facets, whose normals are strictly positive, bound the
-    complement, and
-
-        covol = sum over compact facets F of  b_F * T_F / (6 * n_z),
-
-    where ``T_F`` is twice the area of F projected to the (x, y) plane
-    (Kouchnirenko, "Polyedres de Newton et nombres de Milnor", Invent.
-    Math. 32, 1976).  Each compact facet is spanned by three minimal
-    generators, so it is found among generator triples whose plane has a
-    positive normal and supports the polyhedron at the triple.
+    compact facets bound the complement (Kouchnirenko, "Polyedres de Newton
+    et nombres de Milnor", Invent. Math. 32, 1976), and the covolume is
+    ``-det(a, b, c) / 6`` summed over the outward triangles (a, b, c) of
+    ``_compact_facets``.
     """
     if dim > 3:
         raise DimensionUnsupported(f"covolume needs d <= 3, got d = {dim}")
@@ -310,7 +283,7 @@ def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
         return Fraction(caps[0])
     if dim == 2:
         return polygon_area([(0, 0)] + _monotone_chain(pts))
-    return _cone_sum_3d(pts, True)
+    return Fraction(-sum(offset for _, offset in _compact_facets(pts)), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +296,12 @@ class Body:
     points reduced to their minimal elements when it is built.
 
     ``A + B`` is the Minkowski sum over the lcm of the two denominators, and
-    ``k * A`` scales by an integer k.  Bodies are equal when their
-    denominators and vertices are.  ``inequalities`` and ``vertices`` are
+    ``k * A`` scales by an integer k.  ``inequalities`` and ``vertices`` are
     computed on first use, for d <= 3, and describe ``conv(points) +
-    orthant``, the body scaled by its denominator.
+    orthant``, the body scaled by its denominator.  Bodies are equal when
+    they are the same set: the vertices of the body are ``vertices / D``,
+    so the two vertex lists agree once each is multiplied by the other's
+    denominator.
     """
 
     points: tuple[tuple[int, ...], ...]
@@ -377,4 +352,6 @@ class Body:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Body):
             return NotImplemented
-        return self.denominator == other.denominator and self.vertices == other.vertices
+        return [tuple(other.denominator * x for x in v) for v in self.vertices] == [
+            tuple(self.denominator * x for x in v) for v in other.vertices
+        ]

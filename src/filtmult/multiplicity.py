@@ -446,7 +446,6 @@ def truncation_convergence(
     a_schedule,
     targets=None,
     strategy: ExactStrategy | None = None,
-    seed: int = 0,
 ) -> TruncationConvergenceReport:
     """Mixed multiplicities of the truncated filtrations along a schedule.
 
@@ -469,7 +468,7 @@ def truncation_convergence(
     sequences = {t: [] for t in targets}
     for a in schedule:
         truncated = [truncate(F, a) for F in Fs]
-        table = mixed_multiplicity_table(truncated, strategy, seed=seed)
+        table = mixed_multiplicity_table(truncated, strategy)
         for t in targets:
             sequences[t].append(table.entry(t))
     deltas = {t: [y - x for x, y in zip(seq, seq[1:])] for t, seq in sequences.items()}

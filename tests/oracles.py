@@ -1,5 +1,6 @@
 """Test oracles that reach the engine's exact values by another route."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -111,3 +112,38 @@ def solved_table(Fs, strategy=None, seed: int = 0) -> dict:
         t: a * math.prod(math.factorial(i) for i in t)
         for t, a in zip(degree_monomials(r, d), coeffs)
     }
+
+
+def triple_scan_inequalities_3d(gens) -> list[tuple[tuple[int, ...], int]]:
+    """The d = 3 inequality family for ``conv(gens) + orthant`` from point
+    triples: the positive axis bounds, and every plane through three
+    minimal generators, or through two and a coordinate ray from one of
+    them, whose normal is nonnegative, whose offset is positive and which
+    no generator violates.  It may hold planes that support the polyhedron
+    only along an edge.  Quartic in the generator count."""
+    pts = minimal_elements(gens)
+    ineqs = set()
+    for i in range(3):
+        low = min(g[i] for g in pts)
+        if low > 0:
+            ineqs.add((tuple(int(i == j) for j in range(3)), low))
+
+    def consider(a, b, c):
+        u = [b[t] - a[t] for t in range(3)]
+        v = [c[t] - a[t] for t in range(3)]
+        normal = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        if normal < (0, 0, 0):
+            normal = tuple(-x for x in normal)
+        if normal == (0, 0, 0) or min(normal) < 0:
+            return
+        offset = sum(n * x for n, x in zip(normal, a))
+        if offset > 0 and all(sum(n * x for n, x in zip(normal, g)) >= offset for g in pts):
+            g = math.gcd(*normal, offset)
+            ineqs.add((tuple(n // g for n in normal), offset // g))
+
+    for a, b, c in itertools.combinations(pts, 3):
+        consider(a, b, c)
+    for a, b in itertools.combinations(pts, 2):
+        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            consider(a, b, tuple(x + y for x, y in zip(a, e)))
+    return sorted(ineqs)

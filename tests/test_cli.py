@@ -776,6 +776,32 @@ def test_okounkov_on_the_d3_maximal_ideal(tmp_path, capsys):
     assert report["limit"] == {"exact": True, "strategy": "exact_noetherian", "value": "1/6"}
 
 
+# SHA-256 of the default JSON report on d = 3 shapes whose hulls hold
+# hundreds of points, recorded while d = 3 facets were searched among point
+# triples: (task, spec, digest).
+D3_HULL_PINS = {
+    "okounkov-maximal-ideal-m8": (
+        "okounkov",
+        {"filtration": _power([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "m_max": 8},
+        "3764dc72cf87cd37fbe7aa729b5302132da27b59c9c3a24ef0052734b96f0248",
+    ),
+    "integrality-pure-powers-20": (
+        "integrality",
+        {"ideal": {"dim": 3, "gens": [[20, 0, 0], [0, 20, 0], [0, 0, 20]]}},
+        "88a6a9eb206437284aa3ea23c1c858ea43a7bc11fdffd8a33dc05bc2c5352e2e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(D3_HULL_PINS))
+def test_d3_hull_report_bytes_pinned(tmp_path, capsys, name):
+    task, spec, digest = D3_HULL_PINS[name]
+    code, out = run_cli(capsys, [task, "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    check_report(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # SHA-256 of numeric Rees reports on r = 3 families, recorded while the
 # reduced table and the single multiplicity were computed apart from the
 # full table: (spec, seed, digest).  Both exit 3, since numeric entries

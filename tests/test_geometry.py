@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filtmult.geometry import (
+    Body,
     convex_hull_2d,
     covolume_from_gens,
     hull_volume,
@@ -17,6 +18,7 @@ from filtmult.geometry import (
     polygon_area,
     satisfies_inequalities,
 )
+from oracles import triple_scan_inequalities_3d
 
 
 def test_lower_left_chain_filters_non_extreme():
@@ -182,11 +184,28 @@ def _random_primary_3d(rng, max_exp, extra):
     return gens + [tuple(rng.randint(0, max_exp) for _ in range(3)) for _ in range(extra)]
 
 
+def _det3(a, b, c):
+    return sum(x * y for x, y in zip(a, _cross3(b, c)))
+
+
+def _facet_cone_covolume_oracle(gens):
+    """Covolume as the origin cones over the compact facets that the
+    triple-scan family finds, each fanned from its face cycle.  Cubic in
+    the generators, so it reaches sets too large for ``_covolume_oracle``."""
+    pts = minimal_elements(gens)
+    total = Fraction(0)
+    for normal, offset in triple_scan_inequalities_3d(pts):
+        if min(normal) > 0:
+            cycle = _ordered_face_cycle([g for g in pts if sum(n * x for n, x in zip(normal, g)) == offset])
+            total += abs(sum(_det3(cycle[0], p, q) for p, q in zip(cycle[1:], cycle[2:])))
+    return total / 6
+
+
 def test_covolume_3d_matches_hull_oracle():
     rng = random.Random(11)
     for _ in range(10):
         gens = _random_primary_3d(rng, 6, rng.randint(0, 3))
-        assert covolume_from_gens(gens, 3) == _covolume_oracle(gens)
+        assert covolume_from_gens(gens, 3) == _covolume_oracle(gens) == _facet_cone_covolume_oracle(gens)
     # raw Minkowski-sum candidate sets: non-minimal, with interior points
     for _ in range(4):
         left = _random_primary_3d(rng, 3, 1)
@@ -194,6 +213,11 @@ def test_covolume_3d_matches_hull_oracle():
         sums = [tuple(x + y for x, y in zip(g, h)) for g in left for h in right]
         assert len(minimal_elements(sums)) < len(sums)
         assert covolume_from_gens(sums, 3) == _covolume_oracle(sums)
+    # every minimal generator a vertex: (i^2, j^2, k^2) with i + j + k = s
+    for s in (5, 6, 7):
+        gens = [(i * i, j * j, (s - i - j) ** 2) for i in range(s + 1) for j in range(s + 1 - i)]
+        assert len(Body(gens).vertices) == len(gens) >= 21
+        assert covolume_from_gens(gens, 3) == _facet_cone_covolume_oracle(gens)
 
 
 def test_covolume_3d_interior_generators_and_unit():
@@ -229,6 +253,59 @@ def test_newton_inequalities_complete_for_membership():
             for b in gens:
                 mid = tuple(Fraction(x + y, 2) for x, y in zip(a, b))
                 assert satisfies_inequalities(mid, ineqs)
+
+
+@st.composite
+def exponent_sets_3d(draw):
+    """Nonnegative 3D exponent sets: m-primary, arbitrary, on one plane, on
+    one line, or a single point."""
+    shape = draw(st.sampled_from(["primary", "general", "coplanar", "collinear", "single"]))
+    coord = st.integers(0, 6)
+    if shape == "primary":
+        caps = draw(st.tuples(*[st.integers(1, 6)] * 3))
+        pures = [tuple(c if i == j else 0 for j in range(3)) for i, c in enumerate(caps)]
+        return pures + draw(st.lists(st.tuples(coord, coord, coord), max_size=8))
+    if shape == "general":
+        return draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=10))
+    if shape == "single":
+        return [draw(st.tuples(coord, coord, coord))]
+    if shape == "collinear":
+        start = draw(st.tuples(coord, coord, coord))
+        step = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+        line = [tuple(x + t * s for x, s in zip(start, step)) for t in range(draw(st.integers(1, 5)))]
+        return [p for p in line if min(p) >= 0]
+    a, b, c = draw(st.integers(-2, 2)), draw(st.integers(-2, 2)), draw(coord)
+    perm = draw(st.permutations(range(3)))
+    flat = [(x, y, a * x + b * y + c) for x, y in draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=10))]
+    return [tuple(p[perm[t]] for t in range(3)) for p in flat if p[2] >= 0] or [(c, c, c)]
+
+
+RATIONAL_PROBE = st.tuples(*[st.fractions(min_value=0, max_value=8, max_denominator=4)] * 3)
+
+
+@given(exponent_sets_3d(), st.lists(RATIONAL_PROBE, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_newton_inequalities_3d_match_triple_scan_oracle(gens, probes):
+    ineqs = newton_inequalities(gens, 3)
+    reference = triple_scan_inequalities_3d(gens)
+    assert set(ineqs) <= set(reference)
+    for normal, offset in ineqs:
+        assert min(sum(n * x for n, x in zip(normal, g)) for g in gens) == offset
+    half = Fraction(1, 2)
+    probes = probes + [tuple(Fraction(x + y, 2) for x, y in zip(g, h)) for g in gens for h in gens]
+    probes += [tuple(x - half * (i == t) for i, x in enumerate(g)) for g in gens for t in range(3)]
+    for p in probes:
+        assert satisfies_inequalities(p, ineqs) == satisfies_inequalities(p, reference), p
+
+
+def test_body_equality_is_set_equality():
+    assert Body([(2,)], 2) == Body([(1,)], 1)
+    assert Body([(3,)], 2) != Body([(1,)], 1)
+    P = [(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1), (2, 2, 2)]
+    assert 2 * Body(P, 2) == Body(P, 1)
+    assert Body([tuple(3 * x for x in p) for p in P], 3) == Body(P)
+    # (2, 2, 2) is no vertex, so dropping it leaves the same body
+    assert Body(P[:4], 1) == Body(P, 1) != Body(P[:3], 1)
 
 
 def test_covolume_1d_2d():
