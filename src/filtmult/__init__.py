@@ -46,12 +46,9 @@ from .multiplicity import (
 )
 from .okounkov import (
     BodyApproximation,
-    SemigroupSample,
     admissible_beta,
     ambient_body_volume,
-    ambient_count,
     body_volume,
-    semigroup_points,
     volume_limit_check,
 )
 from .quadratic import SQRT2, QuadraticIrrational

@@ -316,9 +316,9 @@ class MixedMultiplicityTable:
     """Mixed multiplicities e(type) for all types (d_1..d_r) with sum = d.
 
     The limit polynomial is G(n) = sum_type entry(type) / prod(d_i!) * n^type.
-    ``points`` are the sample points of ``sample_points``.  Numeric entries
-    are solved for from G at those points; exact entries are finite
-    differences of G and do not depend on them.
+    Numeric entries are solved for from G at ``points``, the sample points
+    of ``sample_points``; exact entries are finite differences of G, drawn
+    from no sample points, so an exact table has ``points == ()``.
     """
 
     d: int
@@ -368,7 +368,7 @@ def mixed_multiplicity_table(
     Exact strategy: each entry is the finite difference of the homogeneous
     limit polynomial P of degree d at 0,
     e(t) = sum_{0 <= k <= t} (-1)^(d - |k|) prod_i C(t_i, k_i) P(k);
-    no system is solved.
+    no sample point is drawn, no system is solved and ``seed`` is not read.
     Numeric strategy: b_j = P(point_j) at ``sample_points(r, d, seed)``; the
     homogeneous coefficients a solve B a = b exactly, and the entry of type
     (d_1..d_r) is the coefficient times d_1! ... d_r!.
@@ -380,8 +380,8 @@ def mixed_multiplicity_table(
     else:
         P = LimitFunction(Fs, strategy)
     d, r = P.d, P.r
-    points = sample_points(r, d, seed)
     if isinstance(P.strategy, ExactStrategy):
+        points = []
         entries = {
             t: sum(
                 (-1) ** (d - sum(k)) * math.prod(map(math.comb, t, k)) * P(k).value
@@ -392,6 +392,7 @@ def mixed_multiplicity_table(
         }
         exact = True
     else:
+        points = sample_points(r, d, seed)
         estimates = [P(p) for p in points]
         exact = all(est.exact for est in estimates)
         coeffs = linalg.solve(monomial_matrix(points, d), [est.value for est in estimates])

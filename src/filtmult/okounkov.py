@@ -29,7 +29,7 @@ from .multiplicity import (
     NumericStrategy,
     limit_normalized_colength,
 )
-from .staircase import MonomialIdeal, colength
+from .staircase import MonomialIdeal
 
 Exponent = tuple[int, ...]
 
@@ -55,58 +55,6 @@ def containment_exponent(I: MonomialIdeal) -> int:
 def admissible_beta(F: Filtration) -> Fraction:
     """The simplex bound beta = 2*c for the semigroup construction."""
     return Fraction(2 * containment_exponent(F.ideal_at(1)))
-
-
-@dataclass(frozen=True)
-class SemigroupSample:
-    """The level-m fiber of the value semigroup of a filtration."""
-
-    dim: int
-    m: int
-    beta: Fraction
-    points: frozenset
-
-    def count(self) -> int:
-        return len(self.points)
-
-
-def semigroup_points(F: Filtration, m: int, beta) -> SemigroupSample:
-    """All lattice points of the staircase of I_m inside |a| <= beta*m."""
-    beta = Fraction(beta)
-    if m < 1:
-        raise ValueError("level must be >= 1")
-    bound = math.floor(beta * m)
-    ideal = F.ideal_at(m)
-    pts = []
-    for a in _simplex_points(F.dim, bound):
-        if ideal.contains(a):
-            pts.append(a)
-    return SemigroupSample(F.dim, m, beta, frozenset(pts))
-
-
-def ambient_points(dim: int, m: int, beta) -> SemigroupSample:
-    """The companion fiber with the ring in place of the ideal."""
-    beta = Fraction(beta)
-    bound = math.floor(beta * m)
-    return SemigroupSample(dim, m, beta, frozenset(_simplex_points(dim, bound)))
-
-
-def ambient_count(dim: int, m: int, beta) -> int:
-    bound = math.floor(Fraction(beta) * m)
-    return math.comb(bound + dim, dim)
-
-
-def _simplex_points(dim: int, bound: int):
-    if dim == 1:
-        for x in range(bound + 1):
-            yield (x,)
-        return
-    for head in itertools.product(range(bound + 1), repeat=dim - 1):
-        rest = bound - sum(head)
-        if rest < 0:
-            continue
-        for x in range(rest + 1):
-            yield head + (x,)
 
 
 @dataclass(frozen=True)
@@ -250,11 +198,3 @@ def volume_limit_check(F: Filtration, m_max: int) -> OkounkovReport:
         gap_abs=gap_abs,
         gap_rel=gap_rel,
     )
-
-
-def fiber_count_identity(F: Filtration, m: int, beta) -> tuple[int, int, int]:
-    """(ambient count, fiber count, colength of I_m): the counting identity
-    ambient - fiber = colength holds whenever beta is admissible."""
-    sample = semigroup_points(F, m, beta)
-    hat = ambient_count(F.dim, m, beta)
-    return hat, sample.count(), colength(F.ideal_at(m))

@@ -121,9 +121,6 @@ class QuadraticIrrational:
         bigger_is_p = lhs > rhs
         return (1 if p > 0 else -1) if bigger_is_p else (1 if q > 0 else -1)
 
-    def compare_fraction(self, x) -> int:
-        return (self - QuadraticIrrational.rational(x)).sign()
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "QuadraticIrrational":

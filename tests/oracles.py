@@ -2,11 +2,12 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from filtmult import linalg
 from filtmult.errors import DimensionMismatch
-from filtmult.filtrations import product_at
+from filtmult.filtrations import Filtration, product_at
 from filtmult.geometry import covolume_from_gens, minimal_elements
 from filtmult.multiplicity import (
     LimitEstimate,
@@ -15,6 +16,7 @@ from filtmult.multiplicity import (
     monomial_matrix,
     sample_points,
 )
+from filtmult.quadratic import QuadraticIrrational
 from filtmult.staircase import MonomialIdeal, colength, product, unit_ideal
 
 # Powers taken per dimension.  Deep enough for every ideal the tests draw,
@@ -147,3 +149,65 @@ def triple_scan_inequalities_3d(gens) -> list[tuple[tuple[int, ...], int]]:
         for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
             consider(a, b, tuple(x + y for x, y in zip(a, e)))
     return sorted(ineqs)
+
+
+def compare_fraction(theta: QuadraticIrrational, x) -> int:
+    """The exact sign of theta - x for a rational x."""
+    return (theta - QuadraticIrrational.rational(x)).sign()
+
+
+@dataclass(frozen=True)
+class SemigroupSample:
+    """The level-m fiber of the value semigroup of a filtration."""
+
+    dim: int
+    m: int
+    beta: Fraction
+    points: frozenset
+
+    def count(self) -> int:
+        return len(self.points)
+
+
+def semigroup_points(F: Filtration, m: int, beta) -> SemigroupSample:
+    """All lattice points of the staircase of I_m inside |a| <= beta*m."""
+    beta = Fraction(beta)
+    if m < 1:
+        raise ValueError("level must be >= 1")
+    bound = math.floor(beta * m)
+    ideal = F.ideal_at(m)
+    pts = [a for a in _simplex_points(F.dim, bound) if ideal.contains(a)]
+    return SemigroupSample(F.dim, m, beta, frozenset(pts))
+
+
+def ambient_points(dim: int, m: int, beta) -> SemigroupSample:
+    """The companion fiber with the ring in place of the ideal."""
+    beta = Fraction(beta)
+    bound = math.floor(beta * m)
+    return SemigroupSample(dim, m, beta, frozenset(_simplex_points(dim, bound)))
+
+
+def ambient_count(dim: int, m: int, beta) -> int:
+    bound = math.floor(Fraction(beta) * m)
+    return math.comb(bound + dim, dim)
+
+
+def _simplex_points(dim: int, bound: int):
+    if dim == 1:
+        for x in range(bound + 1):
+            yield (x,)
+        return
+    for head in itertools.product(range(bound + 1), repeat=dim - 1):
+        rest = bound - sum(head)
+        if rest < 0:
+            continue
+        for x in range(rest + 1):
+            yield head + (x,)
+
+
+def fiber_count_identity(F: Filtration, m: int, beta) -> tuple[int, int, int]:
+    """(ambient count, fiber count, colength of I_m): the counting identity
+    ambient - fiber = colength holds whenever beta is admissible."""
+    sample = semigroup_points(F, m, beta)
+    hat = ambient_count(F.dim, m, beta)
+    return hat, sample.count(), colength(F.ideal_at(m))

@@ -26,7 +26,7 @@ from filtmult.multiplicity import fit_quasi_polynomial, limit_normalized_colengt
 from filtmult.quadratic import SQRT2, QuadraticIrrational
 from filtmult.staircase import maximal_ideal, minimalize, power, product, unit_ideal
 
-from oracles import minkowski_covolume, minkowski_points
+from oracles import compare_fraction, minkowski_covolume, minkowski_points
 
 
 def I2(*gens):
@@ -619,7 +619,7 @@ def valuation_box_scan(weights: list[QuadraticIrrational], n: int):
     caps = []
     for w in weights:
         cap = 0
-        while (w * cap).compare_fraction(n) < 0:
+        while compare_fraction(w * cap, n) < 0:
             cap += 1
         caps.append(cap)
     members = []
@@ -627,7 +627,7 @@ def valuation_box_scan(weights: list[QuadraticIrrational], n: int):
         total = QuadraticIrrational.rational(0)
         for coeff, w in zip(a, weights):
             total = total + w * coeff
-        if total.compare_fraction(n) >= 0:
+        if compare_fraction(total, n) >= 0:
             members.append(a)
     return minimalize(members, len(weights))
 

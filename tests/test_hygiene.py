@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, every
-parameter a function takes is read in its body, and every private
-module-level function or class is referenced somewhere in the package.
+parameter a function takes is read in its body, and every module-level
+function or class is referenced somewhere in the package, an export from
+the package ``__init__`` included.
 
 The package ``__init__`` is skipped for imports, since its imports are the
 public re-exports.
@@ -103,13 +104,12 @@ def test_functions_read_every_parameter(module):
     assert not unread, f"{module} has parameters its functions never read: {unread}"
 
 
-def private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Module-level functions and classes whose names start with ``_``."""
+def definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions and classes."""
     return {
         node.name: node.lineno
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
     }
 
 
@@ -120,12 +120,14 @@ def referenced_names(tree: ast.Module) -> set[str]:
 
 
 def test_every_private_definition_is_referenced():
+    """A module-level function or class is reached by some module, its own
+    included, or is exported by the package ``__init__``."""
     trees = {m: ast.parse((PACKAGE / m).read_text(encoding="utf-8")) for m in ALL_MODULES}
     referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
     unreferenced = {
         f"{module}:{name}:{line}"
         for module, tree in trees.items()
-        for name, line in private_definitions(tree).items()
+        for name, line in definitions(tree).items()
         if name not in referenced
     }
-    assert not unreferenced, f"private definitions that no module references: {sorted(unreferenced)}"
+    assert not unreferenced, f"definitions that no module references: {sorted(unreferenced)}"

@@ -13,16 +13,14 @@ from filtmult.okounkov import (
     _fiber_hull_points,
     admissible_beta,
     ambient_body_volume,
-    ambient_count,
-    ambient_points,
     body_volume,
     containment_exponent,
-    fiber_count_identity,
-    semigroup_points,
     volume_limit_check,
 )
 from filtmult.quadratic import SQRT2
 from filtmult.staircase import colength, maximal_ideal, minimalize, power
+
+from oracles import ambient_count, ambient_points, fiber_count_identity, semigroup_points
 
 
 def I2(*gens):

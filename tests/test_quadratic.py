@@ -13,6 +13,8 @@ from filtmult.quadratic import (
     is_squarefree,
 )
 
+from oracles import compare_fraction
+
 
 def oracle_ceil_n_sqrt_s(n: int, s: int) -> int:
     """Independent integer-only oracle for ceil(n * sqrt(s))."""
@@ -59,8 +61,8 @@ def test_arithmetic_in_field():
     sq = golden * golden
     assert sq.p == 3 and sq.q == 2 and sq.s == 2
     assert (golden - golden).sign() == 0
-    assert golden.compare_fraction(Fraction(12, 5)) > 0  # 1 + 1.414 > 2.4
-    assert golden.compare_fraction(Fraction(5, 2)) < 0
+    assert compare_fraction(golden, Fraction(12, 5)) > 0  # 1 + 1.414 > 2.4
+    assert compare_fraction(golden, Fraction(5, 2)) < 0
 
 
 def test_comparisons_match_floats():

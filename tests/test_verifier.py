@@ -11,7 +11,7 @@ from filtmult.filtrations import (
     PowerFiltration,
     ShiftedPowerFiltration,
 )
-from filtmult import multiplicity
+from filtmult import multiplicity, verifier
 from filtmult.multiplicity import NumericStrategy
 from filtmult.quadratic import SQRT2
 from filtmult.staircase import maximal_ideal, minimalize
@@ -101,6 +101,17 @@ def test_minkowski_equality_demo_d3():
     assert report.passed
     root = [r for r in report.records if r.name == "root_subadditivity"][0]
     assert root.slack == 0 and report.context["root_equality"]
+
+
+def test_root_equality_is_the_exact_verdict_not_a_float_tie(monkeypatch):
+    # e(m) = 1 and e(m*m) = 4 in d = 2, so both float sides are 2.0; a
+    # comparator that calls the inequality strict must be believed
+    F = PowerFiltration(maximal_ideal(2))
+    monkeypatch.setattr(verifier, "root_sum_compare", lambda A, B, C, d: (True, False))
+    report = minkowski_report(F, F)
+    root = [r for r in report.records if r.name == "root_subadditivity"][0]
+    assert root.left == root.right == 2.0 and root.passed
+    assert report.context["root_equality"] is False
 
 
 def test_minkowski_small_suite():
