@@ -205,10 +205,13 @@ def _task_multigraded_demo(spec, args):
     arity = _spec_int(spec, "arity", 2, 1)
     MF = CeilingNormMultiFiltration(arity, spec.get("weights"))
     points = [tuple(p) for p in spec.get("points", STANDARD_WITNESS_POINTS)]
-    threshold = args.threshold if args.threshold is not None else float(spec.get("threshold", 0.05))
+    threshold = args.threshold if args.threshold is not None else spec.get("threshold", 0.05)
+    # NaN and Infinity are not JSON, so the report could not print them
+    if type(threshold) not in (int, float) or not abs(threshold) <= sys.float_info.max:
+        raise SpecValidationError(f"threshold: finite numbers only, got {threshold!r}")
     # the limit is a closed form, so m_max and --budget are only validated
     _spec_int(spec, "m_max", 4096, 1, args.budget)
-    report = non_polynomial_witness(MF, points, degree=MF.dim, threshold=threshold)
+    report = non_polynomial_witness(MF, points, degree=MF.dim, threshold=float(threshold))
     return report.to_json(), report.witnessed
 
 

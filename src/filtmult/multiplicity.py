@@ -424,18 +424,15 @@ class TruncationConvergenceReport:
     exact: bool
 
     def to_json(self) -> dict:
-        def enc(v):
-            return str(v) if isinstance(v, Fraction) else float(v)
-
         return {
             "schedule": list(self.schedule),
             "targets": [list(t) for t in self.targets],
             "sequences": {
-                " ".join(map(str, t)): [enc(v) for v in seq]
+                " ".join(map(str, t)): [str(v) for v in seq]
                 for t, seq in self.sequences.items()
             },
             "deltas": {
-                " ".join(map(str, t)): [enc(v) for v in seq]
+                " ".join(map(str, t)): [str(v) for v in seq]
                 for t, seq in self.deltas.items()
             },
             "exact": self.exact,

@@ -14,7 +14,6 @@ which makes the counting identity exact.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,19 +36,17 @@ Exponent = tuple[int, ...]
 def containment_exponent(I: MonomialIdeal) -> int:
     """Minimal c with m^c contained in I (I m-primary).
 
-    Equals one plus the largest total degree of a standard monomial, found by
-    scanning the staircase box.
+    Equals one plus the largest total degree of a standard monomial.  A
+    maximal standard monomial a has a + e_i in I for every i, so some
+    generator g has g_i = a_i + 1; only points with every a_i in
+    ``{g_i - 1 : g_i >= 1}`` are tried.
     """
     if not I.is_m_primary():
         raise NotMPrimary("containment exponent needs an m-primary ideal")
     if I.is_unit:
         return 0
-    caps = I.box()
-    best = -1
-    for point in itertools.product(*(range(c) for c in caps)):
-        if not I.contains(point):
-            best = max(best, sum(point))
-    return best + 1
+    axes = [sorted({g[i] - 1 for g in I.gens if g[i]}) for i in range(I.dim)]
+    return 1 + max(sum(a) for a in itertools.product(*axes) if not I.contains(a))
 
 
 def admissible_beta(F: Filtration) -> Fraction:
@@ -67,58 +64,24 @@ class BodyApproximation:
     """
 
     m: int
-    vertices: tuple
     volume: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "volume": str(self.volume),
-            "vertices": [[str(Fraction(x)) for x in v] for v in self.vertices],
-        }
 
 
 def _fiber_hull_points(F: Filtration, m: int, bound: int) -> list[Exponent]:
-    """Column-extreme points of the fiber; their hull is the fiber hull."""
-    ideal = F.ideal_at(m)
-    d = F.dim
-    if d == 1:
-        low = ideal.gens[0][0]
-        if low > bound:
-            return []
-        return [(low,), (bound,)]
-    if d == 2:
-        xs: list[int] = []
-        floor_y: list[int] = []
-        for gx, gy in sorted(ideal.gens):
-            xs.append(gx)
-            floor_y.append(gy if not floor_y else min(floor_y[-1], gy))
-        pts = []
-        for x in range(bound + 1):
-            idx = bisect.bisect_right(xs, x) - 1
-            if idx < 0:
-                continue
-            bottom = floor_y[idx]
-            top = bound - x
-            if bottom <= top:
-                pts.append((x, bottom))
-                pts.append((x, top))
-        return pts
-    if d == 3:
-        pts = []
-        gens = ideal.gens
-        for x in range(bound + 1):
-            for y in range(bound + 1 - x):
-                zs = [g[2] for g in gens if g[0] <= x and g[1] <= y]
-                if not zs:
-                    continue
-                bottom = min(zs)
-                top = bound - x - y
-                if bottom <= top:
-                    pts.append((x, y, bottom))
-                    pts.append((x, y, top))
-        return pts
-    raise DimensionUnsupported("fiber hulls are computed for d <= 3 only")
+    """Points whose hull is the fiber hull: each generator g of I_m with
+    |g| <= bound, and g + (bound - |g|)*e_i for every axis i.
+
+    A fiber point a lies above some such g, and a - g lies in the simplex
+    (bound - |g|)*conv(0, e_1, ..., e_d), so a is in the hull of g and the
+    points g + (bound - |g|)*e_i, which are fiber points themselves.
+    """
+    pts = []
+    for g in F.ideal_at(m).gens:
+        slack = bound - sum(g)
+        if slack >= 0:
+            pts.append(g)
+            pts += (g[:i] + (g[i] + slack,) + g[i + 1 :] for i in range(len(g)))
+    return pts
 
 
 def body_volume(F: Filtration, m: int, beta) -> BodyApproximation:
@@ -126,14 +89,8 @@ def body_volume(F: Filtration, m: int, beta) -> BodyApproximation:
     beta = Fraction(beta)
     if F.dim > 3:
         raise DimensionUnsupported("body volumes need d <= 3")
-    bound = math.floor(beta * m)
-    pts = _fiber_hull_points(F, m, bound)
-    if not pts:
-        return BodyApproximation(m, (), Fraction(0))
-    hull = geometry.convex_hull_2d(pts) if F.dim == 2 else sorted(set(pts))
-    volume = geometry.hull_volume(hull, F.dim) / Fraction(m) ** F.dim
-    vertices = tuple(tuple(Fraction(x, m) for x in v) for v in hull)
-    return BodyApproximation(m, vertices, volume)
+    pts = _fiber_hull_points(F, m, math.floor(beta * m))
+    return BodyApproximation(m, geometry.hull_volume(pts, F.dim) / Fraction(m) ** F.dim)
 
 
 def ambient_body_volume(dim: int, m: int, beta) -> Fraction:

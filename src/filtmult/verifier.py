@@ -159,12 +159,9 @@ class InequalityReport:
         }
 
 
-def _record(name, left, right, passed=None, tolerance=0.0) -> InequalityRecord:
+def _record(name, left, right, passed=None) -> InequalityRecord:
     if passed is None:
-        if isinstance(left, Fraction) and isinstance(right, Fraction):
-            passed = left <= right
-        else:
-            passed = float(left) <= float(right) + tolerance
+        passed = left <= right
     return InequalityRecord(
         name=name,
         left=float(left),
@@ -201,25 +198,13 @@ def minkowski_report(
     e = {i: table.entry((i, d - i)) for i in range(d + 1)}
     e1, e2, eprod = (math.factorial(d) * P(n).value for n in ((1, 0), (0, 1), (1, 1)))
     exact = table.exact
-    tol = 0.0 if exact else tolerance
     records = []
     for i in range(1, d):
-        records.append(
-            _record(f"log_convexity[i={i}]", e[i] * e[i], e[i + 1] * e[i - 1], tolerance=tol)
-        )
+        records.append(_record(f"log_convexity[i={i}]", e[i] * e[i], e[i + 1] * e[i - 1]))
     for i in range(d + 1):
-        records.append(
-            _record(f"pair_product[i={i}]", e[i] * e[d - i], e1 * e2, tolerance=tol)
-        )
+        records.append(_record(f"pair_product[i={i}]", e[i] * e[d - i], e1 * e2))
     for i in range(d + 1):
-        records.append(
-            _record(
-                f"power_bound[i={i}]",
-                e[d - i] ** d,
-                e1 ** (d - i) * e2**i,
-                tolerance=tol,
-            )
-        )
+        records.append(_record(f"power_bound[i={i}]", e[d - i] ** d, e1 ** (d - i) * e2**i))
     left = float(eprod) ** (1 / d)
     right = float(e1) ** (1 / d) + float(e2) ** (1 / d)
     is_eq = False
@@ -233,7 +218,7 @@ def minkowski_report(
             passed=holds,
         )
     else:
-        rec = _record("root_subadditivity", left, right, tolerance=tol)
+        rec = _record("root_subadditivity", left, right, passed=left <= right + tolerance)
     records.append(rec)
     passed = all(r.passed for r in records)
     context = {

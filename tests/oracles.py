@@ -211,3 +211,30 @@ def fiber_count_identity(F: Filtration, m: int, beta) -> tuple[int, int, int]:
     sample = semigroup_points(F, m, beta)
     hat = ambient_count(F.dim, m, beta)
     return hat, sample.count(), colength(F.ideal_at(m))
+
+
+def column_extreme_fiber_points(F: Filtration, m: int, bound: int) -> list[tuple[int, ...]]:
+    """The lowest and highest fiber point of every lattice column: over each
+    (d-1)-dimensional base point, the least last coordinate that I_m allows
+    and the most that |a| <= bound allows."""
+    ideal = F.ideal_at(m)
+    d = F.dim
+    pts = []
+    for head in _simplex_points(d - 1, bound) if d > 1 else [()]:
+        lows = [g[-1] for g in ideal.gens if all(x <= h for x, h in zip(g, head))]
+        if not lows:
+            continue
+        bottom, top = min(lows), bound - sum(head)
+        if bottom <= top:
+            pts += [head + (bottom,), head + (top,)]
+    return pts
+
+
+def box_scan_containment_exponent(I: MonomialIdeal) -> int:
+    """One plus the largest total degree of a standard monomial, found by
+    scanning the whole staircase box of an m-primary ideal."""
+    best = -1
+    for point in itertools.product(*(range(c) for c in I.box())):
+        if not I.contains(point):
+            best = max(best, sum(point))
+    return best + 1

@@ -32,8 +32,12 @@ def run_cli(capsys, argv):
     return code, out
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def check_report(out: str) -> dict:
-    payload = json.loads(out)
+    payload = json.loads(out, parse_constant=_reject_constant)
     jsonschema.validate(payload, REPORT_SCHEMA)
     return payload
 
@@ -212,6 +216,32 @@ def test_exit_code_3_on_unwitnessed_demo(capsys):
     code, out = run_cli(capsys, ["multigraded-demo", "--threshold", "10"])
     assert code == 3
     assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("flag", ["nan", "inf"])
+def test_exit_code_2_on_a_threshold_flag_that_is_not_finite(capsys, flag):
+    code, out = run_cli(capsys, ["multigraded-demo", "--threshold", flag])
+    assert code == 2
+    error = check_report(out)["error"]
+    assert error["code"] == "SpecValidationError"
+    assert error["message"].startswith("threshold: finite numbers only")
+
+
+@pytest.mark.parametrize("text", ['{"threshold": "0.05"}', '{"threshold": NaN}'])
+def test_exit_code_2_on_a_spec_threshold_that_is_not_a_finite_number(tmp_path, capsys, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    code, out = run_cli(capsys, ["multigraded-demo", "--input", str(path)])
+    assert code == 2
+    error = check_report(out)["error"]
+    assert error["code"] == "SpecValidationError"
+    assert error["message"].startswith("threshold: finite numbers only")
+
+
+def test_an_integer_spec_threshold_is_reported_as_a_float(tmp_path, capsys):
+    code, out = run_cli(capsys, ["multigraded-demo", "--input", write(tmp_path, "p.json", {"threshold": 10})])
+    assert code == 3
+    assert '"threshold":10.0' in out
 
 
 def test_json_reports_are_deterministic(tmp_path, capsys):
@@ -798,6 +828,12 @@ D3_HULL_PINS = {
         "okounkov",
         {"filtration": _power([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "m_max": 8},
         "3764dc72cf87cd37fbe7aa729b5302132da27b59c9c3a24ef0052734b96f0248",
+    ),
+    # recorded while the fiber hull came from per-column scans (about 4 s)
+    "okounkov-gens-d3": (
+        "okounkov",
+        {"filtration": _power([[2, 0, 0], [0, 3, 0], [0, 0, 2], [1, 1, 1]]), "m_max": 8},
+        "34eed8f6bb8623024decc71d188e811495e29d53a5a75dcad5dc68e283c3b5a8",
     ),
     "integrality-pure-powers-20": (
         "integrality",

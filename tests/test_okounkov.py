@@ -7,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filtmult.errors import DimensionUnsupported
-from filtmult.filtrations import DiagonalFiltration, PowerFiltration, truncate
-from filtmult.geometry import convex_hull_2d, hull_volume
+from filtmult.filtrations import (
+    DiagonalFiltration,
+    MonomialValuationFiltration,
+    PowerFiltration,
+    truncate,
+)
+from filtmult.geometry import hull_volume
 from filtmult.okounkov import (
     _fiber_hull_points,
     admissible_beta,
@@ -17,10 +22,17 @@ from filtmult.okounkov import (
     containment_exponent,
     volume_limit_check,
 )
-from filtmult.quadratic import SQRT2
+from filtmult.quadratic import SQRT2, QuadraticIrrational
 from filtmult.staircase import colength, maximal_ideal, minimalize, power
 
-from oracles import ambient_count, ambient_points, fiber_count_identity, semigroup_points
+from oracles import (
+    ambient_count,
+    ambient_points,
+    box_scan_containment_exponent,
+    column_extreme_fiber_points,
+    fiber_count_identity,
+    semigroup_points,
+)
 
 
 def I2(*gens):
@@ -154,9 +166,6 @@ def test_volume_difference_counts_standard_monomials():
 
 
 def test_volume_limit_check_valuation_filtration():
-    from filtmult.filtrations import MonomialValuationFiltration
-    from filtmult.quadratic import QuadraticIrrational
-
     F = MonomialValuationFiltration([QuadraticIrrational.rational(2)] * 2)
     report = volume_limit_check(F, 64)
     assert report.beta == 2
@@ -166,27 +175,62 @@ def test_volume_limit_check_valuation_filtration():
 
 
 @st.composite
-def power_fibers(draw):
-    d = draw(st.integers(1, 3))
-    caps = [draw(st.integers(1, 4)) for _ in range(d)]
-    gens = [tuple(c if j == i else 0 for j in range(d)) for i, c in enumerate(caps)]
-    gens += draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=3))
+def fibers(draw):
+    """A power filtration, a truncated sqrt(s) diagonal, or a rational or
+    Q(sqrt s) valuation in d <= 3, with a level m and a bound factor beta."""
+    kind = draw(st.sampled_from(["power", "diagonal", "valuation"]))
+    s = draw(st.sampled_from([2, 3, 5, 7]))
+    if kind == "power":
+        d = draw(st.integers(1, 3))
+        caps = [draw(st.integers(1, 4)) for _ in range(d)]
+        gens = [tuple(c if j == i else 0 for j in range(d)) for i, c in enumerate(caps)]
+        gens += draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=3))
+        F = PowerFiltration(minimalize(gens, d))
+    elif kind == "diagonal":
+        F = truncate(DiagonalFiltration([QuadraticIrrational.sqrt(s)]), draw(st.integers(1, 8)))
+    else:
+        d = draw(st.integers(1, 3))
+        rational = st.builds(
+            QuadraticIrrational.rational, st.builds(Fraction, st.integers(1, 4), st.integers(1, 2))
+        )
+        irrational = st.builds(
+            lambda p, q: QuadraticIrrational(p, q, s), st.integers(0, 2), st.sampled_from([1, Fraction(1, 2)])
+        )
+        F = MonomialValuationFiltration(draw(st.lists(st.one_of(rational, irrational), min_size=d, max_size=d)))
     m = draw(st.integers(1, 4))
-    # a d=3 fiber at m * beta = 12 has up to 182 points and takes seconds
-    beta = draw(st.integers(1, 3 if d < 3 or m < 4 else 2))
-    return PowerFiltration(minimalize(gens, d)), m, beta
+    # the d=3 column oracle and its hull grow with (m * beta)^2
+    beta = draw(st.integers(1, 3 if F.dim < 3 or m < 4 else 2))
+    return F, m, beta
 
 
-@given(power_fibers())
-@settings(max_examples=60, deadline=None)
+@given(fibers())
+@settings(max_examples=80, deadline=None)
 def test_body_volume_is_the_fiber_hull(case):
     F, m, beta = case
     d = F.dim
-    pts = _fiber_hull_points(F, m, beta * m)
-    body = body_volume(F, m, beta)
-    if not pts:
-        assert body.vertices == () and body.volume == 0
-        return
-    assert body.volume == hull_volume(pts, d) / Fraction(m) ** d
-    hull = convex_hull_2d(pts) if d == 2 else sorted(set(pts))
-    assert body.vertices == tuple(tuple(Fraction(x, m) for x in v) for v in hull)
+    oracle = column_extreme_fiber_points(F, m, beta * m)
+    assert body_volume(F, m, beta).volume == hull_volume(oracle, d) / Fraction(m) ** d
+
+
+@given(fibers())
+@settings(max_examples=80, deadline=None)
+def test_fiber_hull_points_are_fiber_points(case):
+    F, m, beta = case
+    ideal = F.ideal_at(m)
+    for a in _fiber_hull_points(F, m, beta * m):
+        assert ideal.contains(a) and sum(a) <= beta * m
+
+
+@st.composite
+def m_primary_ideals(draw):
+    d = draw(st.integers(1, 4))
+    caps = [draw(st.integers(1, 4)) for _ in range(d)]
+    gens = [tuple(c if j == i else 0 for j in range(d)) for i, c in enumerate(caps)]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=4))
+    return minimalize(gens, d)
+
+
+@given(m_primary_ideals())
+@settings(max_examples=150, deadline=None)
+def test_containment_exponent_matches_the_box_scan(I):
+    assert containment_exponent(I) == box_scan_containment_exponent(I)
