@@ -38,7 +38,6 @@ from .multiplicity import (
     QuasiPolynomial,
     filtration_multiplicity,
     fit_quasi_polynomial,
-    hilbert_samuel_multiplicity,
     limit_normalized_colength,
     mixed_multiplicity_table,
     sample_points,

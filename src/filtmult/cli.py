@@ -61,7 +61,8 @@ def _spec_int(data: dict, key: str, default: int, minimum: int, budget: int | No
     return value if budget is None else spec_int(budget, "--budget", minimum)
 
 
-# Accepted and checked for existing specs; the dimension picks the engine.
+# Accepted and checked for existing specs, like ``hs_budget``; neither selects
+# anything, since every exact limit is a covolume.
 MULTIPLICITY_METHODS = ("auto", "covolume", "hilbert_samuel")
 
 
@@ -70,11 +71,11 @@ def _strategy_from_json(data, budget: int | None) -> Strategy:
         return ExactStrategy()
     kind = spec_object(data, "strategy").get("kind")
     if kind == "exact":
-        hs_budget = _spec_int(data, "hs_budget", 60, 4)
+        _spec_int(data, "hs_budget", 60, 4)
         method = data.get("multiplicity_method", "auto")
         if method not in MULTIPLICITY_METHODS:
             raise SpecValidationError(f"unknown multiplicity method {method!r}")
-        return ExactStrategy(hs_budget)
+        return ExactStrategy()
     if kind == "numeric":
         return NumericStrategy(
             m_max=_spec_int(data, "m_max", 4096, 2, budget), m0=_spec_int(data, "m0", 1, 1)

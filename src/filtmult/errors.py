@@ -83,3 +83,11 @@ def spec_object(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise SpecValidationError(f"{name}: a JSON object only, got {value!r}")
     return value
+
+
+def spec_field(data: dict, key: str, name: str):
+    """The field ``key`` of the spec object ``name``; SpecValidationError
+    naming the field when it is missing."""
+    if key not in data:
+        raise SpecValidationError(f"{name}: missing field {key!r}")
+    return data[key]

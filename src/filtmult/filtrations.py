@@ -23,6 +23,7 @@ from .errors import (
     NotMPrimary,
     NotNoetherian,
     SpecValidationError,
+    spec_field,
     spec_int,
     spec_object,
 )
@@ -510,18 +511,22 @@ def _qi_from_json(data) -> QuadraticIrrational:
 
 def filtration_from_json(data: dict) -> Filtration:
     kind = spec_object(data, "filtration").get("kind")
+
+    def field(key):
+        return spec_field(data, key, f"{kind} filtration")
+
     if kind == "power":
-        return PowerFiltration(MonomialIdeal.from_json(data["ideal"]))
+        return PowerFiltration(MonomialIdeal.from_json(field("ideal")))
     if kind == "shifted_power":
         return ShiftedPowerFiltration(
-            MonomialIdeal.from_json(data["ideal"]), spec_int(data["shift"], "shift", 0)
+            MonomialIdeal.from_json(field("ideal")), spec_int(field("shift"), "shift", 0)
         )
     if kind == "diagonal":
-        return DiagonalFiltration([_qi_from_json(r) for r in data["rates"]])
+        return DiagonalFiltration([_qi_from_json(r) for r in field("rates")])
     if kind == "valuation":
-        return MonomialValuationFiltration([_qi_from_json(w) for w in data["weights"]])
+        return MonomialValuationFiltration([_qi_from_json(w) for w in field("weights")])
     if kind == "table":
-        return TableFiltration([MonomialIdeal.from_json(e) for e in data["ideals"]])
+        return TableFiltration([MonomialIdeal.from_json(e) for e in field("ideals")])
     if kind == "truncated":
-        return TruncatedFiltration(filtration_from_json(data["base"]), spec_int(data["a"], "a", 1))
+        return TruncatedFiltration(filtration_from_json(field("base")), spec_int(field("a"), "a", 1))
     raise SpecValidationError(f"unknown filtration kind {kind!r}")

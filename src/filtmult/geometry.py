@@ -1,14 +1,15 @@
-"""Exact rational convex geometry in ambient dimension <= 3.
+"""Exact rational convex geometry.
 
 Everything here works over integers / ``Fraction``; there is no floating
 point anywhere on a decision path.  The polyhedra that occur are the
 bodies ``conv(G/D) + R^d_{>=0}`` of integer points G over a denominator D
 (a ``Body``: limit bodies of filtrations, and Newton polyhedra of monomial
-ideals when D = 1), and convex hulls of semigroup fibers.  Bodies are
-described by their supporting planes through generators.  In d = 3 one
-exact incremental hull gives the outward triangles behind hull volumes,
-covolumes and the compact facets of a body; each volume is a sum of
-origin cones over those triangles.
+ideals when D = 1), and convex hulls of semigroup fibers.  Dimensions one
+and two have closed forms.  In every d >= 3 one exact incremental hull
+gives the outward simplices behind hull volumes, covolumes and the
+compact facets of a body; each volume is a sum of origin cones over those
+simplices.  Facet inequalities, and so body membership and equality, are
+computed for d <= 3.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from itertools import combinations, compress, islice
+from math import factorial, gcd, lcm
+from operator import mul, neg, not_, sub
 
 from .errors import DimensionUnsupported, NotMPrimary
 
@@ -170,85 +173,125 @@ def satisfies_inequalities(point, ineqs) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# 3D hulls: volumes, covolumes and compact facets
+# Hulls in d >= 3: volumes, covolumes and compact facets
 
 
-def _plane(a, b, c):
-    """``(normal, offset)`` of the triangle (a, b, c): ``normal = (b - a) x
-    (c - a)`` and ``offset = <normal, a> = det(a, b, c)``."""
-    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-    v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-    normal = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-    return normal, normal[0] * a[0] + normal[1] * a[1] + normal[2] * a[2]
+def _det(rows) -> int:
+    """Determinant of a small square integer matrix, expanded along its first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * v * _det([r[:j] + r[j + 1 :] for r in rows[1:]]) for j, v in enumerate(rows[0]) if v
+    )
 
 
-def _hull_3d(points) -> list[tuple[tuple[int, int, int], int]]:
-    """The boundary of ``conv(points)`` as outward triangles, each given by
-    its ``_plane``, or ``[]`` when the distinct points are coplanar.
+def _plane(pts):
+    """``(normal, offset)`` of the hyperplane through d points a, b, ... of
+    R^d: the signed cofactor minors of ``b - a, ...``, which is ``(b - a) x
+    (c - a)`` in d = 3, and ``<normal, a>``."""
+    a = pts[0]
+    if len(a) == 3:
+        b, c = pts[1], pts[2]
+        u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+        v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
+        normal = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        return normal, normal[0] * a[0] + normal[1] * a[1] + normal[2] * a[2]
+    rows = [tuple(x - y for x, y in zip(p, a)) for p in pts[1:]]
+    normal = tuple((-1) ** i * _det([r[:i] + r[i + 1 :] for r in rows]) for i in range(len(a)))
+    return normal, sum(map(mul, normal, a))
 
-    Beneath-beyond (de Berg et al., *Computational Geometry*, ch. 11): a
-    tetrahedron on the first sorted points, then every point in sorted
-    order.  The triangles a point sees strictly are dropped, and the cone
-    from the point over their horizon edges takes their place; a point that
-    sees none is inside or on the hull.  Only signs of integer 3x3
-    determinants decide anything, so the result depends on the point set
-    alone.
+
+def _start_simplex(pts) -> list | None:
+    """d + 1 affinely independent points of the sorted ``pts``, each the
+    first to raise the rank of the differences ``p - pts[0]`` under a
+    fraction-free echelon reduction; None when they span less than R^d."""
+    p0 = pts[0]
+    simplex, rows = [p0], []
+    for p in islice(pts, 1, None):
+        v = list(map(sub, p, p0))
+        for c, row in rows:
+            f = v[c]
+            if f:
+                r = row[c]
+                v = [r * x - f * y for x, y in zip(v, row)]
+        for c, x in enumerate(v):
+            if x:
+                rows.append((c, v))
+                simplex.append(p)
+                if len(rows) == len(p0):
+                    return simplex
+                break
+    return None
+
+
+def _hull(points) -> list[tuple[tuple[int, ...], int]]:
+    """The boundary of ``conv(points)`` in R^d, d >= 3, as outward
+    simplices, each given by its ``_plane``, or ``[]`` when the distinct
+    points span less than R^d.
+
+    Beneath-beyond (de Berg et al., *Computational Geometry*, ch. 11): the
+    start simplex of ``_start_simplex``, then every point in sorted order.
+    The facets a point sees strictly are dropped, and the cone from the
+    point over their horizon, the ridges that lie in exactly one of them,
+    takes their place; a point that sees none is inside or on the hull.
+    A facet faces away from ``z``, d + 1 times the centroid of the start
+    simplex, which stays interior.  Only signs of integer determinants
+    decide anything, so the result depends on the point set alone.
     """
     pts = sorted(set(points))
-    if len(pts) < 4:
+    simplex = _start_simplex(pts) if pts else None
+    if simplex is None:
         return []
-    a, b = pts[0], pts[1]
-    c = next((p for p in pts if any(_plane(a, b, p)[0])), None)
-    if c is None:
-        return []
-    normal, offset = _plane(a, b, c)
-    d = next((p for p in pts if normal[0] * p[0] + normal[1] * p[1] + normal[2] * p[2] != offset), None)
-    if d is None:
-        return []
-    if normal[0] * d[0] + normal[1] * d[1] + normal[2] * d[2] > offset:
-        b, c = c, b
-    faces = [(*_plane(*t), t) for t in ((a, b, c), (a, d, b), (b, d, c), (c, d, a))]
+    d = len(pts[0])
+    z = tuple(map(sum, zip(*simplex)))
+
+    def facet(vertices):
+        normal, offset = _plane(vertices)
+        if sum(map(mul, normal, z)) > (d + 1) * offset:
+            normal, offset = tuple(map(neg, normal)), -offset
+        return normal, offset, vertices
+
+    faces = [facet(simplex[:i] + simplex[i + 1 :]) for i in range(d + 1)]
     for p in pts:
-        x, y, z = p
-        seen = [f for f in faces if f[0][0] * x + f[0][1] * y + f[0][2] * z > f[1]]
-        if not seen:
+        if d == 3:
+            x, y, w = p
+            seen = [n[0] * x + n[1] * y + n[2] * w > offset for n, offset, _ in faces]
+        else:
+            seen = [sum(map(mul, n, p)) > offset for n, offset, _ in faces]
+        if True not in seen:
             continue
-        edges = {e for *_, (u, v, w) in seen for e in ((u, v), (v, w), (w, u))}
-        faces = [f for f in faces if f[0][0] * x + f[0][1] * y + f[0][2] * z <= f[1]]
-        faces += [(*_plane(u, v, p), (u, v, p)) for u, v in edges if (v, u) not in edges]
+        horizon = set()
+        for *_, t in compress(faces, seen):
+            horizon.symmetric_difference_update(map(frozenset, combinations(t, d - 1)))
+        faces = [*compress(faces, map(not_, seen)), *(facet((*r, p)) for r in horizon)]
     return [(normal, offset) for normal, offset, _ in faces]
 
 
-def hull_volume_3d(points: list[tuple[int, int, int]]) -> Fraction:
-    """Exact volume of the convex hull of a 3D integer point cloud: the sum
-    of ``det(a, b, c) / 6`` over its outward triangles."""
-    return Fraction(sum(offset for _, offset in _hull_3d(points)), 6)
-
-
 def hull_volume(points: list[tuple[int, ...]], dim: int) -> Fraction:
-    """Exact volume of conv(points) for integer points and dim <= 3."""
+    """Exact volume of conv(points) for integer points: in d >= 3 the sum
+    of ``offset / d!`` over the outward simplices of ``_hull``, each the
+    signed volume of the cone from the origin over it."""
     if dim == 1:
         vals = [p[0] for p in points]
         return Fraction(max(vals) - min(vals) if vals else 0)
     if dim == 2:
         return polygon_area(convex_hull_2d(points))
-    if dim == 3:
-        return hull_volume_3d(points)
-    raise DimensionUnsupported(f"exact hull volume needs d <= 3, got d = {dim}")
+    return Fraction(sum(offset for _, offset in _hull(points)), factorial(dim))
 
 
-def _compact_facets(pts) -> list[tuple[tuple[int, int, int], int]]:
-    """The triangles, as ``_plane``s, that tile the compact facets of
-    ``conv(pts) + orthant`` for minimal 3D points ``pts``.
+def _compact_facets(pts) -> list[tuple[tuple[int, ...], int]]:
+    """The simplices, as ``_plane``s, that tile the compact facets of
+    ``conv(pts) + orthant`` for points ``pts`` in R^d, d >= 3.
 
-    They are the triangles of ``conv(pts + [q])``, q = (X, X, X) with X
+    They are the simplices of ``conv(pts + [q])``, q = (X, ..., X) with X
     above every coordinate, whose outward normal is strictly negative.  q
     lies in the polyhedron but on no plane with a positive normal that
     supports it, so it adds no such facet and removes none; it also makes
-    the set full-dimensional when the points are coplanar.
+    the set full-dimensional when the points lie on one hyperplane.  Points
+    that are not minimal lie in the polyhedron and change nothing either.
     """
     X = max(max(g) for g in pts) + 1
-    return [(normal, offset) for normal, offset in _hull_3d([*pts, (X, X, X)]) if max(normal) < 0]
+    return [(normal, offset) for normal, offset in _hull([*pts, (X,) * len(pts[0])]) if max(normal) < 0]
 
 
 def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
@@ -256,24 +299,22 @@ def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
 
     Requires a generator set whose complement is bounded (a pure power on
     every axis), and raises ``NotMPrimary`` otherwise; ``gens`` need not be
-    minimal.
+    minimal.  Only d = 2 reduces them, to walk the lower-left chain; the
+    hull of d >= 3 takes them as they are.
 
-    In d = 3 the covolume is a sum of cones with apex at the origin.  Every
-    ray from the origin into the orthant leaves the complement through a
-    facet ``<n, y> = b`` of the Newton polyhedron with ``b > 0``.  Because
-    the ideal is m-primary, a facet whose normal has a zero component
-    contains the pure power on that axis, so its ``b`` is 0.  Hence only the
-    compact facets bound the complement (Kouchnirenko, "Polyedres de Newton
-    et nombres de Milnor", Invent. Math. 32, 1976), and the covolume is
-    ``-det(a, b, c) / 6`` summed over the outward triangles (a, b, c) of
-    ``_compact_facets``.
+    In d >= 3 the covolume is a sum of cones with apex at the origin.
+    Every ray from the origin into the orthant leaves the complement
+    through a facet ``<n, y> = b`` of the Newton polyhedron with ``b > 0``.
+    Because the ideal is m-primary, a facet whose normal has a zero
+    component contains the pure power on that axis, so its ``b`` is 0.
+    Hence only the compact facets bound the complement (Kouchnirenko,
+    "Polyedres de Newton et nombres de Milnor", Invent. Math. 32, 1976),
+    and the covolume is ``-offset / d!`` summed over the outward simplices
+    of ``_compact_facets``.
     """
-    if dim > 3:
-        raise DimensionUnsupported(f"covolume needs d <= 3, got d = {dim}")
-    pts = minimal_elements(gens)
     caps = []
     for i in range(dim):
-        pures = [g[i] for g in pts if sum(g) == g[i]]
+        pures = [g[i] for g in gens if sum(g) == g[i]]
         if not pures:
             raise NotMPrimary(f"no pure power on axis {i}; the covolume is infinite")
         caps.append(min(pures))
@@ -282,8 +323,8 @@ def covolume_from_gens(gens: list[tuple[int, ...]], dim: int) -> Fraction:
     if dim == 1:
         return Fraction(caps[0])
     if dim == 2:
-        return polygon_area([(0, 0)] + _monotone_chain(pts))
-    return Fraction(-sum(offset for _, offset in _compact_facets(pts)), 6)
+        return polygon_area([(0, 0)] + lower_left_chain(gens))
+    return Fraction(-sum(offset for _, offset in _compact_facets(gens)), factorial(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +367,7 @@ class Body:
         return Body([tuple(k * x for x in p) for p in self.points], self.denominator)
 
     def covolume(self) -> Fraction:
-        """Exact covolume (d <= 3); ``NotMPrimary`` when it is infinite."""
+        """Exact covolume; ``NotMPrimary`` when it is infinite."""
         return covolume_from_gens(self.points, self.dim) / self.denominator**self.dim
 
     @cached_property

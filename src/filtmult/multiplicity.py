@@ -11,15 +11,8 @@ Mixed multiplicities are the normalized coefficients of that polynomial.
 A ``LimitFunction`` memoizes P for one family.  Exact entries are its
 finite differences e(t) = Delta^t P(0) (polarization), which need P only
 at the primitive points below t; numeric entries are solved for from P at
-sample points.
-
-The dimension picks the exact engine on the summed body.  For d <= 3 the
-limit is its covolume.  For d >= 4, where no covolume kernel exists, it is
-e / (d! D^d) for the body's points G over its denominator D, with e the
-multiplicity of the ideal (x^g : g in G) read off a plateau of the d-th
-finite differences of colengths of powers (the Hilbert-Samuel route),
-which is a heuristic.  The test suite checks the covolume against a
-target-free finite-difference oracle of its own.
+sample points.  The test suite checks the covolumes against a target-free
+finite-difference oracle of its own.
 """
 
 from __future__ import annotations
@@ -37,13 +30,12 @@ from .errors import (
     DegreeMismatch,
     DimensionMismatch,
     ExhaustedRetries,
-    NotMPrimary,
     NotNoetherian,
     TopCoefficientDrift,
     spec_int,
 )
 from .filtrations import Filtration, PowerFiltration, product_at, truncate
-from .staircase import MonomialIdeal, colength, product, unit_ideal
+from .staircase import colength
 
 Exponent = tuple[int, ...]
 
@@ -54,14 +46,9 @@ Exponent = tuple[int, ...]
 @dataclass(frozen=True)
 class ExactStrategy:
     """Evaluate limits exactly through the filtrations' limit bodies, each
-    proven in closed form or by a complete finite check.
-
-    The dimension picks the engine on the summed body: the covolume for
-    d <= 3, the Hilbert-Samuel plateau for d >= 4.  ``hs_budget`` bounds the
-    powers the Hilbert-Samuel engine may take.
+    proven in closed form or by a complete finite check: every limit is
+    the covolume of the summed body, in every dimension.
     """
-
-    hs_budget: int = 60
 
     tag = "exact_noetherian"
 
@@ -117,42 +104,6 @@ class LimitEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Multiplicity of a single monomial ideal
-
-
-def hilbert_samuel_multiplicity(I: MonomialIdeal, m_budget: int = 60) -> int:
-    """e(I) read off a plateau of the d-th finite differences of colength(I^m).
-
-    colength(I^m) agrees with a degree-d polynomial for large m, so its d-th
-    differences become exactly constant.  The loop returns the first value
-    that the last three differences share.  This plateau is a heuristic, not
-    a proof: the differences can sit on a spurious plateau before the
-    polynomial range begins (the d = 3 ideal (z^3, y^5, x y^2 z, x^4)
-    plateaus at 58 for seven steps before stabilizing at its true
-    multiplicity 59).  Exact limits therefore run it only for d >= 4, where
-    no covolume kernel exists.
-    """
-    if not I.is_m_primary():
-        raise NotMPrimary("multiplicity needs an m-primary ideal")
-    if I.is_unit:
-        return 0
-    d = I.dim
-    values: list[int] = []
-    current = unit_ideal(d)
-    for m in range(1, m_budget + 1):
-        current = product(current, I)
-        values.append(colength(current))
-        if len(values) < d + 3:
-            continue
-        diffs = values[:]
-        for _ in range(d):
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        if diffs[-1] == diffs[-2] == diffs[-3]:
-            return diffs[-1]
-    raise BudgetExceeded(f"no stabilization within m <= {m_budget}")
-
-
-# ---------------------------------------------------------------------------
 # The limit function
 
 
@@ -182,9 +133,7 @@ def limit_normalized_colength(
     """lim_m lam(R / I(1)_{m n_1} ... I(r)_{m n_r}) / m^d.
 
     Exact strategy: the limit is the covolume of the Minkowski sum of the
-    limit bodies, sum_j n_j * Gamma_j, when d <= 3.  When d >= 4 it is
-    e((x^g : g in G)) / (d! D^d) through the Hilbert-Samuel engine, for the
-    sum's points G over its denominator D.
+    limit bodies, sum_j n_j * Gamma_j.
     Numeric strategy: ``numeric_limit`` of the colengths.  When every active
     factor is a power filtration, the sample ideal prod_j I_j^{m n_j} is
     J^m for J = prod_j I_j^{n_j}, so the samples are taken along the power
@@ -210,13 +159,7 @@ def limit_normalized_colength(
         return numeric_limit(lambda m: colength(product_at(Fs, [m * v for v in n])), d, strategy)
 
     body, *rest = (v * F.limit_body() for F, v in active)
-    body = sum(rest, body)
-    if d <= 3:
-        value = body.covolume()
-    else:
-        e = hilbert_samuel_multiplicity(MonomialIdeal(d, body.points), strategy.hs_budget)
-        value = Fraction(e, math.factorial(d) * body.denominator**d)
-    return LimitEstimate(value, Fraction(0), True, strategy.tag)
+    return LimitEstimate(sum(rest, body).covolume(), Fraction(0), True, strategy.tag)
 
 
 class LimitFunction:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry
-from .errors import DimensionUnsupported, NotMPrimary, NotNoetherian
+from .errors import NotMPrimary, NotNoetherian
 from .filtrations import Filtration
 from .multiplicity import (
     ExactStrategy,
@@ -85,10 +85,8 @@ def _fiber_hull_points(F: Filtration, m: int, bound: int) -> list[Exponent]:
 
 
 def body_volume(F: Filtration, m: int, beta) -> BodyApproximation:
-    """Exact volume of the scaled fiber hull conv(fiber_m / m), d <= 3."""
+    """Exact volume of the scaled fiber hull conv(fiber_m / m)."""
     beta = Fraction(beta)
-    if F.dim > 3:
-        raise DimensionUnsupported("body volumes need d <= 3")
     pts = _fiber_hull_points(F, m, math.floor(beta * m))
     return BodyApproximation(m, geometry.hull_volume(pts, F.dim) / Fraction(m) ** F.dim)
 
@@ -131,8 +129,6 @@ def volume_limit_check(F: Filtration, m_max: int) -> OkounkovReport:
     no rate claim.  The limit is exact when the limit body is rational and
     numeric (schedule up to max(1024, m_max)) when it raises NotNoetherian.
     """
-    if F.dim > 3:
-        raise DimensionUnsupported("volume checks need d <= 3")
     beta = admissible_beta(F)
     m = m_max
     vol_hat = ambient_body_volume(F.dim, m, beta)

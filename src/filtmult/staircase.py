@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import geometry
 from .geometry import Body, minimal_elements
-from .errors import DimensionMismatch, DimensionUnsupported, NotMPrimary, spec_int
+from .errors import DimensionMismatch, DimensionUnsupported, NotMPrimary, spec_field, spec_int
 
 Exponent = tuple[int, ...]
 
@@ -115,10 +115,11 @@ class MonomialIdeal:
 
     @staticmethod
     def from_json(data: dict) -> "MonomialIdeal":
-        gens = [tuple(g) for g in data["gens"]]
-        for v in itertools.chain([data["dim"]], *gens):
+        dim = spec_field(data, "dim", "ideal")
+        gens = [tuple(g) for g in spec_field(data, "gens", "ideal")]
+        for v in itertools.chain([dim], *gens):
             spec_int(v, "ideal dim and exponents")
-        return minimalize(gens, data["dim"])
+        return minimalize(gens, dim)
 
     def __repr__(self) -> str:
         return f"MonomialIdeal(d={self.dim}, gens={list(self.gens)})"

@@ -22,7 +22,9 @@ from filtmult.staircase import MonomialIdeal, colength, product, unit_ideal
 # Powers taken per dimension.  Deep enough for every ideal the tests draw,
 # and past the spurious plateau at 58 of the d = 3 ideal (z^3, y^5, x y^2 z,
 # x^4), whose d-th differences settle at its multiplicity 59 only later.
-FINITE_DIFFERENCE_DEPTH = {1: 6, 2: 10, 3: 14}
+# In d = 4 the tests draw ideals with exponents <= 3, whose powers grow
+# fast; eight powers leave four 4th differences, the last three compared.
+FINITE_DIFFERENCE_DEPTH = {1: 6, 2: 10, 3: 14, 4: 8}
 
 
 def finite_difference_oracle(I: MonomialIdeal) -> int:

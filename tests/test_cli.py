@@ -520,6 +520,24 @@ def test_exit_code_2_on_invalid_strategy(tmp_path, capsys, strategy):
     assert check_report(out)["error"]["code"] == "SpecValidationError"
 
 
+@pytest.mark.parametrize(
+    "filtration, message",
+    [
+        ({"kind": "power"}, "power filtration: missing field 'ideal'"),
+        ({"kind": "power", "ideal": {"dim": 2}}, "ideal: missing field 'gens'"),
+        ({"kind": "shifted_power", "ideal": {"dim": 1, "gens": [[2]]}}, "shifted_power filtration: missing field 'shift'"),
+        ({"kind": "valuation"}, "valuation filtration: missing field 'weights'"),
+        ({"kind": "truncated", "base": {"kind": "diagonal", "rates": ["1"]}}, "truncated filtration: missing field 'a'"),
+    ],
+)
+def test_missing_spec_field_is_named(tmp_path, capsys, filtration, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"filtration": filtration}))
+    code, out = run_cli(capsys, ["multiplicity", "--input", str(path)])
+    assert code == 2
+    assert check_report(out)["error"] == {"code": "SpecValidationError", "message": message}
+
+
 def test_strategy_rejects_unknown_multiplicity_method():
     with pytest.raises(SpecValidationError, match="unknown multiplicity method 'hilbert-samuel'"):
         cli._strategy_from_json({"kind": "exact", "multiplicity_method": "hilbert-samuel"}, None)
@@ -584,6 +602,66 @@ def test_d4_multiplicity_report_bytes_pinned(tmp_path, capsys):
     assert code == 0
     assert check_report(out)["report"]["multiplicity"] == "6"
     assert hashlib.sha256(out.encode()).hexdigest() == D4_MULTIPLICITY_SHA256
+
+
+# SHA-256 of exact d >= 4 reports, recorded while the Hilbert-Samuel plateau
+# still computed them; the covolume now gives the same bytes.
+D4_PLUS_PINS = {
+    "d4-maximal": (
+        "multiplicity",
+        {"filtration": _power([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])},
+        "46651f2c5f486ad9914d66dac8171ac1bf3c98b654ff021046c7874f1e2eb49e",
+    ),
+    "d4-x2-y-z-w3": (
+        "multiplicity",
+        {"filtration": _power([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]])},
+        "ae428be38a76164ca0f2e14397f21bd8f723947ffcd5610c49b1fd3309bd92cd",
+    ),
+    "d4-squares-xyzw": (
+        "multiplicity",
+        {"filtration": _power([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2], [1, 1, 1, 1]])},
+        "cd8dcbb0a30a38a509d7bebc0575b93dbac7e87a328fc4f63f506813b12c757c",
+    ),
+    "d4-valuation-1-2-1-1": (
+        "multiplicity",
+        {"filtration": {"kind": "valuation", "weights": ["1", "2", "1", "1"]}},
+        "881e339cf20a2a48e686ee0384e714d75aa51e22933fd653cbfee7ad782a049f",
+    ),
+    "d5-squares-x1x2x5": (
+        "multiplicity",
+        {"filtration": _power([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, 2, 0], [0, 0, 0, 0, 2], [1, 1, 0, 0, 1]])},
+        "03fc350b7e535acd9a11dd3276b6a5791e3be1e45eb33604086ab5a2baec3ca0",
+    ),
+    # the Hilbert-Samuel plateau took about 20 minutes on 2 cores for this table
+    "d4-mixed-maximal-valuation-1-1-1-2": (
+        "mixed",
+        {
+            "filtrations": [
+                _power([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+                {"kind": "valuation", "weights": ["1", "1", "1", "2"]},
+            ]
+        },
+        "496aa64bfc2796804bc941002103286ff2b8bf78c89fe52b65ee3535266e989e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(D4_PLUS_PINS))
+def test_d4_plus_report_bytes_pinned(tmp_path, capsys, name):
+    task, spec, digest = D4_PLUS_PINS[name]
+    code, out = run_cli(capsys, [task, "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    check_report(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_hs_budget_selects_nothing_in_d4(tmp_path, capsys):
+    # a budget of four powers once stopped the d >= 4 engine before its plateau
+    task, spec, digest = D4_PLUS_PINS["d4-squares-xyzw"]
+    spec = dict(spec, strategy={"kind": "exact", "hs_budget": 4})
+    code, out = run_cli(capsys, [task, "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 TRUNCATED_SQRT2 = {"kind": "truncated", "base": {"kind": "diagonal", "rates": [SQRT2]}, "a": 3}

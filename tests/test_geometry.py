@@ -11,7 +11,6 @@ from filtmult.geometry import (
     convex_hull_2d,
     covolume_from_gens,
     hull_volume,
-    hull_volume_3d,
     lower_left_chain,
     minimal_elements,
     newton_inequalities,
@@ -99,9 +98,9 @@ def hull_volume_oracle(points):
 
 def test_hull_volume_3d_reference_shapes():
     cube = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
-    assert hull_volume_3d(cube) == 8
+    assert hull_volume(cube, 3) == 8
     simplex = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert hull_volume_3d(simplex) == Fraction(1, 6)
+    assert hull_volume(simplex, 3) == Fraction(1, 6)
     # shell between two simplices, with many boundary lattice points
     pts = []
     for x in range(5):
@@ -110,15 +109,45 @@ def test_hull_volume_3d_reference_shapes():
             top = 4 - x - y
             if bottom <= top:
                 pts += [(x, y, bottom), (x, y, top)]
-    assert hull_volume_3d(pts) == Fraction(28, 3)
+    assert hull_volume(pts, 3) == Fraction(28, 3)
 
 
 def test_hull_volume_3d_degenerate():
-    assert hull_volume_3d([(0, 0, 0), (1, 0, 0), (0, 1, 0)]) == 0
+    assert hull_volume([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 3) == 0
     coplanar = [(x, y, x + y) for x in range(3) for y in range(3)]
-    assert hull_volume_3d(coplanar) == 0
-    assert hull_volume_3d([]) == hull_volume_3d([(1, 2, 3)]) == 0
-    assert hull_volume_3d([(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)]) == 0
+    assert hull_volume(coplanar, 3) == 0
+    assert hull_volume([], 3) == hull_volume([(1, 2, 3)], 3) == 0
+    assert hull_volume([(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)], 3) == 0
+
+
+def _unit_simplex(d):
+    return [(0,) * d] + [tuple(int(i == j) for j in range(d)) for i in range(d)]
+
+
+def test_hull_volume_d4_closed_forms():
+    assert hull_volume(list(itertools.product((0, 1), repeat=4)), 4) == 1
+    assert hull_volume(_unit_simplex(4), 4) == Fraction(1, 24)
+    assert hull_volume(_unit_simplex(5), 5) == Fraction(1, 120)
+    rng = random.Random(4)
+    for _ in range(10):
+        cloud = [tuple(rng.randint(0, 5) for _ in range(4)) for _ in range(rng.randint(5, 30))]
+        volume = hull_volume(cloud, 4)
+        for k in (2, 3):
+            assert hull_volume([tuple(k * x for x in p) for p in cloud], 4) == k**4 * volume
+        # a unimodular shear and a translation keep the volume
+        sheared = [(a + 2 * b - c, b + d, c + 3, d - a) for a, b, c, d in cloud]
+        assert hull_volume(sheared, 4) == volume
+    # points of the grid {0, 1, 2}^4 lie in the cube [0, 2]^4 and add nothing to its corners
+    box = list(itertools.product(range(3), repeat=4))
+    assert hull_volume(rng.sample(box, 60) + list(itertools.product((0, 2), repeat=4)), 4) == 16
+
+
+def test_hull_volume_d4_degenerate():
+    # on the hyperplane x + y + z + w = 4, and on a 2-plane
+    flat = [p for p in itertools.product(range(5), repeat=4) if sum(p) == 4]
+    assert hull_volume(flat, 4) == 0
+    assert hull_volume([(x, y, x + y, x - y) for x in range(4) for y in range(4)], 4) == 0
+    assert hull_volume(_unit_simplex(4)[:4], 4) == hull_volume([], 4) == 0
 
 
 COORD8 = st.integers(0, 8)
@@ -157,8 +186,8 @@ def clouds_3d(draw):
 @given(clouds_3d())
 @settings(max_examples=200, deadline=None)
 def test_hull_volume_3d_matches_face_cycle_oracle(points):
-    volume = hull_volume_3d(points)
-    assert volume == hull_volume_oracle(points) == hull_volume(points, 3)
+    volume = hull_volume(points, 3)
+    assert volume == hull_volume_oracle(points)
     assert type(volume) is Fraction
 
 
@@ -232,6 +261,30 @@ def test_covolume_3d_interior_generators_and_unit():
 def test_covolume_3d_hilbert_samuel_docstring_ideal():
     # (z^3, y^5, x y^2 z, x^4): e = 59, where finite differences plateau at 58
     assert 6 * covolume_from_gens([(0, 0, 3), (0, 5, 0), (1, 2, 1), (4, 0, 0)], 3) == 59
+
+
+def test_covolume_d4_d5_matches_capped_hull():
+    """In d >= 4, ``(conv G + orthant) & [0, caps]`` is the hull of G with
+    any subset of coordinates raised to its cap, so the covolume is the box
+    minus that hull's volume: the compact facets against the whole hull."""
+    rng = random.Random(45)
+    for d in (4, 4, 4, 4, 5):
+        caps = [rng.randint(1, 4) for _ in range(d)]
+        gens = [tuple(c * (i == j) for j in range(d)) for i, c in enumerate(caps)]
+        gens += [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+        pts = minimal_elements(gens)
+        caps = [min(g[i] for g in pts if sum(g) == g[i]) for i in range(d)]
+        lifted = {
+            tuple(c if up else x for x, c, up in zip(g, caps, mask))
+            for g in pts
+            for mask in itertools.product((False, True), repeat=d)
+        }
+        box = 1
+        for c in caps:
+            box *= c
+        assert covolume_from_gens(gens, d) == box - hull_volume(list(lifted), d)
+    squares = [tuple(2 * (i == j) for j in range(5)) for i in range(5)]
+    assert 120 * covolume_from_gens([*squares, (1, 1, 0, 0, 1)], 5) == 32
 
 
 def test_newton_inequalities_complete_for_membership():

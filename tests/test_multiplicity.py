@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filtmult.errors import BudgetExceeded, NotMPrimary, NotNoetherian, SpecValidationError
+from filtmult.errors import NotMPrimary, NotNoetherian, SpecValidationError
 from filtmult import cli, geometry, linalg, multiplicity
 from filtmult.filtrations import (
     DiagonalFiltration,
@@ -24,7 +25,6 @@ from filtmult.multiplicity import (
     degree_monomials,
     filtration_multiplicity,
     fit_quasi_polynomial,
-    hilbert_samuel_multiplicity,
     limit_normalized_colength,
     mixed_multiplicity_table,
     monomial_matrix,
@@ -62,13 +62,13 @@ def oracle_best_density(a: int) -> Fraction:
     return min(Fraction(ceil_k_sqrt2(k), k) for k in range(1, a + 1))
 
 
-# -- Hilbert-Samuel multiplicities ----------------------------------------------
+# -- Hilbert-Samuel multiplicities, by the finite-difference oracle --------------
 
 
 def test_hs_multiplicity_examples():
-    assert hilbert_samuel_multiplicity(maximal_ideal(2)) == 1
-    assert hilbert_samuel_multiplicity(I2((2, 0), (0, 1))) == 2
-    assert hilbert_samuel_multiplicity(I2((3, 0), (1, 1), (0, 4))) == 7
+    assert finite_difference_oracle(maximal_ideal(2)) == 1
+    assert finite_difference_oracle(I2((2, 0), (0, 1))) == 2
+    assert finite_difference_oracle(I2((3, 0), (1, 1), (0, 4))) == 7
 
 
 def test_hs_second_difference_pattern():
@@ -80,7 +80,9 @@ def test_hs_second_difference_pattern():
 
 def test_hs_not_primary():
     with pytest.raises(NotMPrimary):
-        hilbert_samuel_multiplicity(I2((1, 1)))
+        finite_difference_oracle(I2((1, 1)))
+    with pytest.raises(NotMPrimary):
+        filtration_multiplicity(PowerFiltration(I2((1, 1))))
 
 
 def test_hs_multiplicity_computes_no_covolume(monkeypatch):
@@ -88,7 +90,8 @@ def test_hs_multiplicity_computes_no_covolume(monkeypatch):
         raise AssertionError("covolume_from_gens called")
 
     monkeypatch.setattr(geometry, "covolume_from_gens", no_covolume)
-    assert hilbert_samuel_multiplicity(minimalize([(2, 0, 0), (0, 3, 0), (0, 0, 1)], 3)) == 6
+    assert finite_difference_oracle(minimalize([(2, 0, 0), (0, 3, 0), (0, 0, 1)], 3)) == 6
+    assert finite_difference_oracle(I4((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 3))) == 6
 
 
 def test_multiplicity_engines_agree_on_random_ideals():
@@ -99,23 +102,27 @@ def test_multiplicity_engines_agree_on_random_ideals():
         assert filtration_multiplicity(PowerFiltration(ideal)) == finite_difference_oracle(ideal)
 
 
-def test_dimension_alone_picks_the_exact_engine(monkeypatch):
-    calls = []
+def test_covolume_matches_finite_differences_d4():
+    # pure powers of degree 2 or 3 and one or two monomials x_i x_j, which
+    # cut into the simplex of the pure powers unless both powers are squares
+    rng = random.Random(2026)
+    pairs = [g for g in itertools.product((0, 1), repeat=4) if sum(g) == 2]
+    for _ in range(10):
+        gens = [tuple(rng.randint(2, 3) * (j == i) for j in range(4)) for i in range(4)]
+        ideal = I4(*gens, *rng.sample(pairs, rng.randint(1, 2)))
+        assert filtration_multiplicity(PowerFiltration(ideal)) == finite_difference_oracle(ideal)
 
-    def spy(I, m_budget):
-        calls.append(I.dim)
-        return hilbert_samuel_multiplicity(I, m_budget)
 
-    monkeypatch.setattr(multiplicity, "hilbert_samuel_multiplicity", spy)
+def test_dimension_alone_picks_the_exact_engine():
     for method in cli.MULTIPLICITY_METHODS:
         strategy = cli._strategy_from_json({"kind": "exact", "multiplicity_method": method}, None)
-        for d in (1, 2, 3, 4):
+        assert strategy == ExactStrategy()
+        for d in (1, 2, 3, 4, 5):
             est = limit_normalized_colength([PowerFiltration(maximal_ideal(d))], (1,), strategy)
             assert est.exact and est.value == Fraction(1, math.factorial(d))
-    assert calls == [4] * len(cli.MULTIPLICITY_METHODS)
 
 
-# -- exact multiplicities in d >= 4, through the Hilbert-Samuel plateau ----------
+# -- exact multiplicities in d >= 4, through the covolume ---------------------------
 
 
 @pytest.mark.parametrize(
@@ -140,11 +147,6 @@ def test_dimension_alone_picks_the_exact_engine(monkeypatch):
 )
 def test_exact_multiplicity_d4(F, expected):
     assert filtration_multiplicity(F) == expected
-
-
-def test_exact_multiplicity_d4_respects_hs_budget():
-    with pytest.raises(BudgetExceeded):
-        filtration_multiplicity(PowerFiltration(maximal_ideal(4)), ExactStrategy(hs_budget=5))
 
 
 # -- limit_normalized_colength -----------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filtmult.errors import DimensionUnsupported
 from filtmult.filtrations import (
     DiagonalFiltration,
     MonomialValuationFiltration,
@@ -116,9 +115,13 @@ def test_body_volume_3d():
         assert body_volume(F, m, 2).volume == Fraction(7, 6)
 
 
-def test_body_volume_d4_unsupported():
-    with pytest.raises(DimensionUnsupported):
-        body_volume(PowerFiltration(maximal_ideal(4)), 1, 2)
+def test_volume_limit_check_d4():
+    # beta = 2: the ambient simplex of side 2 minus the fiber hull, which is
+    # that simplex without the unit corner simplex at the origin
+    report = volume_limit_check(PowerFiltration(maximal_ideal(4)), 2)
+    assert report.vol_hat == Fraction(2**4, 24) and report.vol_body == Fraction(15, 24)
+    assert report.difference == report.limit.value == Fraction(1, 24)
+    assert report.limit.exact
 
 
 def test_counting_identity():
