@@ -6,7 +6,6 @@ from .errors import (
     BudgetExceeded,
     DegreeMismatch,
     DimensionMismatch,
-    DimensionUnsupported,
     ExhaustedRetries,
     FiltmultError,
     IndexOutOfTable,
@@ -54,11 +53,9 @@ from .quadratic import SQRT2, QuadraticIrrational
 from .staircase import (
     MonomialIdeal,
     colength,
-    contains,
     covolume,
     ideal_sum,
     integral_closure,
-    is_m_primary,
     maximal_ideal,
     minimalize,
     newton_region,

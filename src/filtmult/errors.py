@@ -26,12 +26,6 @@ class NotMPrimary(FiltmultError):
     code = "NotMPrimary"
 
 
-class DimensionUnsupported(FiltmultError):
-    """Exact polyhedral geometry is only implemented for ambient dimension <= 3."""
-
-    code = "DimensionUnsupported"
-
-
 class BudgetExceeded(FiltmultError):
     code = "BudgetExceeded"
 
@@ -82,6 +76,13 @@ def spec_object(value, name: str) -> dict:
     """``value`` itself when it is a JSON object; otherwise SpecValidationError."""
     if not isinstance(value, dict):
         raise SpecValidationError(f"{name}: a JSON object only, got {value!r}")
+    return value
+
+
+def spec_list(value, name: str) -> list:
+    """``value`` itself when it is a JSON array; otherwise SpecValidationError."""
+    if not isinstance(value, list):
+        raise SpecValidationError(f"{name}: a JSON array only, got {value!r}")
     return value
 
 

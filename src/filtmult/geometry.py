@@ -8,8 +8,8 @@ ideals when D = 1), and convex hulls of semigroup fibers.  Dimensions one
 and two have closed forms.  In every d >= 3 one exact incremental hull
 gives the outward simplices behind hull volumes, covolumes and the
 compact facets of a body; each volume is a sum of origin cones over those
-simplices.  Facet inequalities, and so body membership and equality, are
-computed for d <= 3.
+simplices.  The same hull, over the generators and points raised on each
+axis, gives every facet of a body, and so body membership and equality.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import combinations, compress, islice
 from math import factorial, gcd, lcm
 from operator import mul, neg, not_, sub
 
-from .errors import DimensionUnsupported, NotMPrimary
+from .errors import NotMPrimary
 
 Point = tuple  # tuple of int or Fraction coordinates
 
@@ -120,49 +120,49 @@ def _normalize_ineq(normal: tuple[int, ...], offset: int):
     return normal, offset
 
 
-def _newton_family_2d(pts) -> set[tuple[tuple[int, int], int]]:
-    """The 2D family of ``newton_inequalities``: the positive axis bounds
-    and the edges of the lower-left chain."""
-    ineqs = set()
-    for i in range(2):
-        low = min(g[i] for g in pts)
-        if low > 0:
-            ineqs.add(((int(i == 0), int(i == 1)), low))
-    chain = lower_left_chain(pts)
-    for a, b in zip(chain, chain[1:]):
-        normal = (a[1] - b[1], b[0] - a[0])
-        ineqs.add(_normalize_ineq(normal, normal[0] * a[0] + normal[1] * a[1]))
-    return ineqs
-
-
 def newton_inequalities(gens: list[tuple[int, ...]], dim: int) -> list[tuple[tuple[int, ...], int]]:
-    """Complete list of valid inequalities for ``conv(gens) + orthant``.
+    """The facets ``<normal, y> >= offset`` of ``conv(gens) + orthant`` with
+    ``offset > 0``, sorted; with ``y >= 0`` they cut out the polyhedron.
 
-    The family contains every facet not implied by ``y >= 0`` plus the
-    per-axis bounds ``y_i >= min g_i`` when positive, each tight at some
-    generator.  In d = 2 the facets are the edges of the lower-left chain.
-    In d = 3 a facet is either compact, with a strictly positive normal
-    (see ``_compact_facets``), or its normal has a zero entry k, and then it
-    is the lift of an edge of the Newton polygon of the projection that
-    forgets coordinate k; the axis bounds lift from those projections too.
-    Supported for dim <= 3.
+    Each normal is nonnegative and each facet is tight at some generator.
+    They include the axis bounds ``y_i >= min g_i`` when positive.  In d = 2
+    the others are the edges of the lower-left chain.  In d >= 3 they are
+    the planes of one ``_hull`` whose outward normal is <= 0 and whose
+    offset is < 0, negated.  Its points are the minimal generators; for each
+    axis k the minimal elements of the projection that forgets k, with
+    coordinate k set back in as X, one above every coordinate; and
+    q = (X, ..., X).  All of them lie in the polyhedron.  A hull plane with
+    a nonnegative inner normal holds on the generators and so on the
+    polyhedron, and the hull touches it in d - 1 dimensions, so it is a
+    facet.  Conversely a facet whose normal is zero on the axes J contains
+    a generator g and, for each k in J, a raised point ``h + X e_k`` with
+    h below the projection of g; these span it, so the hull has it too.
     """
-    if dim > 3:
-        raise DimensionUnsupported(f"Newton facets are only computed for d <= 3, got d = {dim}")
     pts = minimal_elements(gens)
     if dim == 1:
         low = pts[0][0]
         return [((1,), low)] if low > 0 else []
     if dim == 2:
-        return sorted(_newton_family_2d(pts))
-    ineqs = {_normalize_ineq((-n[0], -n[1], -n[2]), -offset) for n, offset in _compact_facets(pts)}
-    for k in range(3):
-        i, j = (t for t in range(3) if t != k)
-        for (ni, nj), offset in _newton_family_2d([(g[i], g[j]) for g in pts]):
-            normal = [0, 0, 0]
-            normal[i], normal[j] = ni, nj
-            ineqs.add((tuple(normal), offset))
-    return sorted(ineqs)
+        ineqs = set()
+        for i in range(2):
+            low = min(g[i] for g in pts)
+            if low > 0:
+                ineqs.add(((int(i == 0), int(i == 1)), low))
+        chain = _monotone_chain(pts)
+        for a, b in zip(chain, chain[1:]):
+            normal = (a[1] - b[1], b[0] - a[0])
+            ineqs.add(_normalize_ineq(normal, normal[0] * a[0] + normal[1] * a[1]))
+        return sorted(ineqs)
+    X = max(max(g) for g in pts) + 1
+    raised = [
+        (*h[:k], X, *h[k:])
+        for k in range(dim)
+        for h in minimal_elements([g[:k] + g[k + 1 :] for g in pts])
+    ]
+    planes = _hull([*pts, *raised, (X,) * dim])
+    return sorted(
+        {_normalize_ineq(tuple(map(neg, n)), -offset) for n, offset in planes if max(n) <= 0 and offset < 0}
+    )
 
 
 def satisfies_inequalities(point, ineqs) -> bool:
@@ -337,12 +337,12 @@ class Body:
     points reduced to their minimal elements when it is built.
 
     ``A + B`` is the Minkowski sum over the lcm of the two denominators, and
-    ``k * A`` scales by an integer k.  ``inequalities`` and ``vertices`` are
-    computed on first use, for d <= 3, and describe ``conv(points) +
-    orthant``, the body scaled by its denominator.  Bodies are equal when
-    they are the same set: the vertices of the body are ``vertices / D``,
-    so the two vertex lists agree once each is multiplied by the other's
-    denominator.
+    ``k * A`` scales by an integer k.  ``inequalities`` is computed on first
+    use and describes ``conv(points) + orthant``, the body scaled by its
+    denominator.  Bodies are equal when they are the same set: the body is
+    the orthant cut by its facets with a positive offset, and a facet
+    ``<n, y> >= b`` of the scaled body is ``<n / g, y> >= b / (g D)`` on the
+    body, g = gcd(n), one form per facet.
     """
 
     points: tuple[tuple[int, ...], ...]
@@ -375,24 +375,14 @@ class Body:
         """A complete family as in ``newton_inequalities``."""
         return tuple(newton_inequalities(self.points, self.dim))
 
-    @cached_property
-    def vertices(self) -> tuple[tuple[int, ...], ...]:
-        """The points outside the body of the other points."""
-        pts = self.points
-        return tuple(
-            g for g in pts
-            if len(pts) == 1
-            or not satisfies_inequalities(g, newton_inequalities([h for h in pts if h != g], self.dim))
-        )
-
-    def member(self, point) -> bool:
-        """True when the (rational) point lies in the body."""
-        scaled = [self.denominator * x for x in point]
-        return min(scaled) >= 0 and satisfies_inequalities(scaled, self.inequalities)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Body):
             return NotImplemented
-        return [tuple(other.denominator * x for x in v) for v in self.vertices] == [
-            tuple(self.denominator * x for x in v) for v in other.vertices
-        ]
+        return self._facets() == other._facets()
+
+    def _facets(self) -> set[tuple[tuple[int, ...], Fraction]]:
+        facets = set()
+        for normal, offset in self.inequalities:
+            g = gcd(*normal)
+            facets.add((tuple(n // g for n in normal), Fraction(offset, g * self.denominator)))
+        return facets

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import geometry
 from .geometry import Body, minimal_elements
-from .errors import DimensionMismatch, DimensionUnsupported, NotMPrimary, spec_field, spec_int
+from .errors import DimensionMismatch, NotMPrimary, spec_field, spec_int, spec_list, spec_object
 
 Exponent = tuple[int, ...]
 
@@ -85,28 +85,10 @@ class MonomialIdeal:
             return self.gens[0][0] == 0 and self.gens[-1][1] == 0
         return all(self.pure_power(i) is not None for i in range(self.dim))
 
-    def box(self) -> tuple[int, ...]:
-        """Per-axis staircase bounds c_i (minimal pure-power exponents)."""
-        caps = tuple(self.pure_power(i) for i in range(self.dim))
-        if None in caps:
-            raise NotMPrimary(f"no pure power on axis {caps.index(None)}; complement is infinite")
-        return caps
-
     def leq(self, other: "MonomialIdeal") -> bool:
         """Ideal containment self <= other (every generator of self in other)."""
         _check_same_dim(self, other)
         return all(other.contains(g) for g in self.gens)
-
-    # -- arithmetic sugar -----------------------------------------------------
-
-    def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return product(self, other)
-
-    def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return ideal_sum(self, other)
-
-    def __pow__(self, k: int) -> "MonomialIdeal":
-        return power(self, k)
 
     # -- serialization --------------------------------------------------------
 
@@ -115,8 +97,10 @@ class MonomialIdeal:
 
     @staticmethod
     def from_json(data: dict) -> "MonomialIdeal":
+        data = spec_object(data, "ideal")
         dim = spec_field(data, "dim", "ideal")
-        gens = [tuple(g) for g in spec_field(data, "gens", "ideal")]
+        gens = spec_list(spec_field(data, "gens", "ideal"), "ideal gens")
+        gens = [tuple(spec_list(g, "ideal generator")) for g in gens]
         for v in itertools.chain([dim], *gens):
             spec_int(v, "ideal dim and exponents")
         return minimalize(gens, dim)
@@ -221,14 +205,6 @@ def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return minimalize(list(I.gens) + list(J.gens), I.dim)
 
 
-def contains(I: MonomialIdeal, exponent: Exponent) -> bool:
-    return I.contains(tuple(exponent))
-
-
-def is_m_primary(I: MonomialIdeal) -> bool:
-    return I.is_m_primary()
-
-
 # ---------------------------------------------------------------------------
 # Colength (number of standard monomials)
 
@@ -280,15 +256,14 @@ def covolume(region: Body) -> Fraction:
 
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
-    """Monomial integral closure: all lattice points of the Newton region.
+    """Monomial integral closure: all lattice points of the Newton region,
+    tested against its facets (``geometry.newton_inequalities``) in any d.
 
     A bounded search over the staircase box suffices because every minimal
     generator of the closure is dominated by the per-axis caps of I when I is
     m-primary; for non-primary ideals the box is padded by the generator
     support bounds.
     """
-    if I.dim > 3:
-        raise DimensionUnsupported("integral closure uses Newton facets, needs d <= 3")
     if I.is_unit:
         return I
     ineqs = geometry.newton_inequalities(list(I.gens), I.dim)

@@ -236,7 +236,7 @@ def box_scan_containment_exponent(I: MonomialIdeal) -> int:
     """One plus the largest total degree of a standard monomial, found by
     scanning the whole staircase box of an m-primary ideal."""
     best = -1
-    for point in itertools.product(*(range(c) for c in I.box())):
+    for point in itertools.product(*(range(I.pure_power(i)) for i in range(I.dim))):
         if not I.contains(point):
             best = max(best, sum(point))
     return best + 1

@@ -11,6 +11,7 @@ import pytest
 from filtmult import cli
 from filtmult.cli import main
 from filtmult.errors import SpecValidationError
+from filtmult.geometry import covolume_from_gens
 from filtmult.staircase import minimalize, power
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -1052,6 +1053,67 @@ def test_integer_exact_report_bytes_pinned(tmp_path, capsys, name):
     assert code == 0
     check_report(out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of `integrality` reports at --seed 3, recorded while d = 3
+# Newton facets came from the lifted 2D families of the three coordinate
+# projections: an ideal with a minimal generator inside the Newton
+# polyhedron of the others, one whose generators all lie on one plane,
+# (x^20, y^20, z^20), and the random suite of six: (spec, digest).
+INTEGRALITY_PINS = {
+    "interior-generator": (
+        {"ideal": {"dim": 3, "gens": [[5, 0, 0], [0, 6, 0], [0, 0, 7], [1, 2, 2], [3, 2, 1]]}},
+        "5cbebda24d5f50d6e3ffddda4d2e9dde0813c7ef5a10b99792037c8cfbddf6e1",
+    ),
+    "flat-face": (
+        {"ideal": {"dim": 3, "gens": [[6, 0, 0], [0, 4, 0], [0, 0, 2], [3, 2, 0], [3, 0, 1], [0, 2, 1]]}},
+        "ec93f54b516b1974c0acf465154a55d9c63b284d9a030574acf62218a89db482",
+    ),
+    "pure-powers-20": (
+        {"ideal": {"dim": 3, "gens": [[20, 0, 0], [0, 20, 0], [0, 0, 20]]}},
+        "4d12ed344bf321f038ef2e13b91d8c96e0982c55b580f640fd5b7ddc8e6605ce",
+    ),
+    "suite-6": (
+        {"suite": {"count": 6}},
+        "5f97c33398b44a07a94f1dda5e8b14c372cfbc84fc36733417e2ae416b675389",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRALITY_PINS))
+def test_integrality_report_bytes_pinned(tmp_path, capsys, name):
+    spec, digest = INTEGRALITY_PINS[name]
+    code, out = run_cli(capsys, ["integrality", "--seed", "3", "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_integrality_in_d4(tmp_path, capsys):
+    gens = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2], [1, 1, 1, 1]]
+    spec = {"ideal": {"dim": 4, "gens": gens}}
+    code, out = run_cli(capsys, ["integrality", "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    report = check_report(out)["report"]
+    assert report["records"][0]["left"] == report["records"][0]["right"] == 16.0
+    closure = [tuple(g) for g in report["context"]["closure_gens"]]
+    assert len(closure) == 10
+    assert covolume_from_gens(closure, 4) == covolume_from_gens([tuple(g) for g in gens], 4)
+
+
+@pytest.mark.parametrize(
+    "ideal, message",
+    [
+        (5, "ideal: a JSON object only, got 5"),
+        ({"dim": 2, "gens": [3]}, "ideal generator: a JSON array only, got 3"),
+        ({"dim": 2, "gens": 3}, "ideal gens: a JSON array only, got 3"),
+    ],
+)
+def test_ill_typed_ideal_field_is_named(tmp_path, capsys, ideal, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"filtration": {"kind": "power", "ideal": ideal}}))
+    code, out = run_cli(capsys, ["multiplicity", "--input", str(path)])
+    assert code == 2
+    assert check_report(out)["error"] == {"code": "SpecValidationError", "message": message}
 
 
 def test_main_reuses_one_parser_without_carrying_state(tmp_path, capsys, monkeypatch):

@@ -245,7 +245,9 @@ def test_covolume_3d_matches_hull_oracle():
     # every minimal generator a vertex: (i^2, j^2, k^2) with i + j + k = s
     for s in (5, 6, 7):
         gens = [(i * i, j * j, (s - i - j) ** 2) for i in range(s + 1) for j in range(s + 1 - i)]
-        assert len(Body(gens).vertices) == len(gens) >= 21
+        assert len(gens) >= 21
+        for g in gens:
+            assert not satisfies_inequalities(g, newton_inequalities([h for h in gens if h != g], 3))
         assert covolume_from_gens(gens, 3) == _facet_cone_covolume_oracle(gens)
 
 
@@ -351,6 +353,55 @@ def test_newton_inequalities_3d_match_triple_scan_oracle(gens, probes):
         assert satisfies_inequalities(p, ineqs) == satisfies_inequalities(p, reference), p
 
 
+@st.composite
+def primary_sets(draw, d, max_cap, max_extra):
+    """An m-primary exponent set in dimension d: a pure power on every axis,
+    plus arbitrary points of the box below the caps."""
+    caps = draw(st.tuples(*[st.integers(1, max_cap)] * d))
+    pures = [tuple(c * (i == j) for j in range(d)) for i, c in enumerate(caps)]
+    extra = st.tuples(*[st.integers(0, c) for c in caps])
+    return pures + draw(st.lists(extra, max_size=max_extra))
+
+
+def assert_membership_matches_covolume(gens, d):
+    """Each lattice point p of the box lies in the Newton polyhedron exactly
+    when adding it to the generators leaves the covolume unchanged."""
+    ineqs = newton_inequalities(gens, d)
+    base = covolume_from_gens(gens, d)
+    caps = [min(g[i] for g in gens if sum(g) == g[i]) for i in range(d)]
+    for p in itertools.product(*(range(c + 1) for c in caps)):
+        assert satisfies_inequalities(p, ineqs) == (covolume_from_gens([*gens, p], d) == base), p
+
+
+@given(primary_sets(4, 3, 4))
+@settings(max_examples=40, deadline=None)
+def test_newton_inequalities_d4_match_covolume_membership(gens):
+    assert_membership_matches_covolume(gens, 4)
+
+
+@given(exponent_sets_3d(), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_newton_inequalities_d4_of_a_cylinder(gens, k):
+    """With a zero coordinate set in at axis k, the Newton polyhedron of a
+    d = 3 set is its product with a ray, so its d = 4 facets are the d = 3
+    facets with a zero set in at k: this reaches sets that are not
+    m-primary, whose facets off the compact ones bound the polyhedron."""
+    lifted = [(*g[:k], 0, *g[k:]) for g in gens]
+    expected = sorted(((*n[:k], 0, *n[k:]), b) for n, b in newton_inequalities(gens, 3))
+    assert newton_inequalities(lifted, 4) == expected
+
+
+def test_newton_inequalities_d5_match_covolume_membership():
+    rng = random.Random(55)
+    squares = [tuple(2 * (i == j) for j in range(5)) for i in range(5)]
+    assert_membership_matches_covolume([*squares, (1, 1, 0, 0, 1)], 5)
+    for _ in range(3):
+        caps = [rng.randint(1, 2) for _ in range(5)]
+        gens = [tuple(c * (i == j) for j in range(5)) for i, c in enumerate(caps)]
+        gens += [tuple(rng.randint(0, c) for c in caps) for _ in range(rng.randint(1, 3))]
+        assert_membership_matches_covolume(gens, 5)
+
+
 def test_body_equality_is_set_equality():
     assert Body([(2,)], 2) == Body([(1,)], 1)
     assert Body([(3,)], 2) != Body([(1,)], 1)
@@ -359,6 +410,9 @@ def test_body_equality_is_set_equality():
     assert Body([tuple(3 * x for x in p) for p in P], 3) == Body(P)
     # (2, 2, 2) is no vertex, so dropping it leaves the same body
     assert Body(P[:4], 1) == Body(P, 1) != Body(P[:3], 1)
+    # in d = 4, (1, 1, 0, 0) is a vertex and (1, 1, 1, 1) is not
+    Q = [tuple(3 * (i == j) for j in range(4)) for i in range(4)] + [(1, 1, 0, 0), (1, 1, 1, 1)]
+    assert 3 * Body(Q, 3) == Body(Q) == Body(Q[:5]) != Body(Q[:4])
 
 
 def test_covolume_1d_2d():

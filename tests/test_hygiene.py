@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, every
-parameter a function takes is read in its body, and every module-level
+parameter a function takes is read in its body, every module-level
 function or class is referenced somewhere in the package, an export from
-the package ``__init__`` included.
+the package ``__init__`` included, and so is every method that is not a
+dunder.
 
 The package ``__init__`` is skipped for imports, since its imports are the
 public re-exports.
@@ -131,3 +132,36 @@ def test_every_private_definition_is_referenced():
         if name not in referenced
     }
     assert not unreferenced, f"definitions that no module references: {sorted(unreferenced)}"
+
+
+# Methods that only callers outside the package reach: the acceptance
+# criteria evaluate a fitted mixed-multiplicity polynomial and a
+# quasi-polynomial, and read its top-degree coefficients.
+OUTSIDE_API = {"polynomial_value", "evaluate", "top_coefficients"}
+
+
+def methods(tree: ast.Module) -> dict[str, int]:
+    """Methods of module-level classes, dunders left out, as
+    ``Class.method`` with their lines."""
+    return {
+        f"{cls.name}.{node.name}": node.lineno
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def test_every_method_is_referenced():
+    """A method is reached by name, as an attribute or a bare name, from
+    some module of the package, unless it is in ``OUTSIDE_API``."""
+    trees = {m: ast.parse((PACKAGE / m).read_text(encoding="utf-8")) for m in ALL_MODULES}
+    referenced = set().union(*(referenced_names(tree) for tree in trees.values())) | OUTSIDE_API
+    unreferenced = {
+        f"{module}:{name}:{line}"
+        for module, tree in trees.items()
+        for name, line in methods(tree).items()
+        if name.split(".")[1] not in referenced
+    }
+    assert not unreferenced, f"methods that no module references: {sorted(unreferenced)}"

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from filtmult import staircase
 from filtmult.errors import DimensionMismatch, NotMPrimary, SpecValidationError
 from filtmult.filtrations import PowerFiltration
+from filtmult.geometry import newton_inequalities, satisfies_inequalities
 from filtmult.staircase import (
     MonomialIdeal,
     colength,
-    contains,
     covolume,
     ideal_sum,
     integral_closure,
-    is_m_primary,
     maximal_ideal,
     minimalize,
     newton_region,
@@ -37,7 +36,7 @@ def I2(*gens):
 def colength_bruteforce(ideal: MonomialIdeal) -> int:
     """Reference colength: scan the staircase box point by point."""
     assert ideal.is_m_primary()
-    points = itertools.product(*(range(c) for c in ideal.box()))
+    points = itertools.product(*(range(ideal.pure_power(i)) for i in range(ideal.dim)))
     return sum(1 for p in points if not any(all(x >= y for x, y in zip(p, g)) for g in ideal.gens))
 
 
@@ -257,7 +256,7 @@ def test_power_2d_matches_iterated_bruteforce(I, k):
     expected = unit_ideal(2)
     for _ in range(k):
         expected = MonomialIdeal(2, brute_product(expected, I))
-    assert power(I, k) == I**k == expected
+    assert power(I, k) == expected
 
 
 def old_pure_power(gens, dim, axis):
@@ -296,12 +295,7 @@ def test_pure_power_matches_coordinatewise_definition(case):
     caps = tuple(old_pure_power(I.gens, d, i) for i in range(d))
     assert tuple(I.pure_power(i) for i in range(d)) == caps
     assert I.is_m_primary() == (None not in caps)
-    if None in caps:
-        with pytest.raises(NotMPrimary):
-            I.box()
-    else:
-        assert I.box() == caps
-    assert unit_ideal(d).box() == (0,) * d
+    assert [unit_ideal(d).pure_power(i) for i in range(d)] == [0] * d
 
 
 # -- product / sum / contains -------------------------------------------------
@@ -332,16 +326,16 @@ def test_sum_examples():
 
 def test_contains():
     I = I2((2, 0), (0, 1))
-    assert not contains(I, (1, 0))
-    assert contains(I, (2, 0))
-    assert contains(I2((3, 0), (1, 1), (0, 4)), (2, 3))
+    assert not I.contains((1, 0))
+    assert I.contains((2, 0))
+    assert I2((3, 0), (1, 1), (0, 4)).contains((2, 3))
 
 
 def test_is_m_primary():
-    assert is_m_primary(I2((2, 0), (0, 1)))
-    assert not is_m_primary(I2((1, 1)))
-    assert is_m_primary(I2((3, 0), (1, 1), (0, 4)))
-    assert is_m_primary(unit_ideal(2))
+    assert I2((2, 0), (0, 1)).is_m_primary()
+    assert not I2((1, 1)).is_m_primary()
+    assert I2((3, 0), (1, 1), (0, 4)).is_m_primary()
+    assert unit_ideal(2).is_m_primary()
 
 
 # -- colength ------------------------------------------------------------------
@@ -440,25 +434,33 @@ def test_newton_region_single_facet():
     assert region.inequalities == (((1, 2), 2),)
 
 
+def member(ineqs, point) -> bool:
+    """Membership in the Newton polyhedron cut out by ``ineqs`` and y >= 0."""
+    return min(point) >= 0 and satisfies_inequalities(point, ineqs)
+
+
 def test_newton_region_unit_is_orthant():
-    region = newton_region(unit_ideal(2))
-    assert region.inequalities == ()
-    assert region.member((5, 7))
+    ineqs = newton_inequalities([(0, 0)], 2)
+    assert ineqs == list(newton_region(unit_ideal(2)).inequalities) == []
+    assert member(ineqs, (5, 7))
 
 
 def test_newton_region_two_bounded_facets():
-    region = newton_region(I2((3, 0), (1, 1), (0, 4)))
-    assert set(region.inequalities) == {((1, 2), 3), ((3, 1), 4)}
-    assert region.vertices == ((0, 4), (1, 1), (3, 0))
+    gens = [(3, 0), (1, 1), (0, 4)]
+    assert set(newton_inequalities(gens, 2)) == {((1, 2), 3), ((3, 1), 4)}
+    assert newton_region(I2(*gens)).inequalities == tuple(newton_inequalities(gens, 2))
+    # each generator is a vertex: the facets of the other two leave it out
+    for g in gens:
+        assert not member(newton_inequalities([h for h in gens if h != g], 2), g)
 
 
-def fraction_member(region, point):
+def fraction_member(ineqs, point):
     """The membership test with every coordinate and term made a Fraction."""
     if any(Fraction(x) < 0 for x in point):
         return False
     return all(
         sum(Fraction(n) * Fraction(x) for n, x in zip(normal, point)) >= offset
-        for normal, offset in region.inequalities
+        for normal, offset in ineqs
     )
 
 
@@ -466,30 +468,41 @@ def fraction_member(region, point):
 def regions_with_points(draw):
     d = draw(st.integers(1, 3))
     gens = draw(st.lists(st.tuples(*[st.integers(0, 5)] * d), min_size=1, max_size=5))
-    region = newton_region(minimalize(gens, d))
+    gens = list(minimalize(gens, d).gens)
     coord = st.one_of(st.integers(-2, 8), st.fractions(min_value=-2, max_value=8, max_denominator=12))
     point = draw(st.tuples(*[coord] * d))
-    k = len(region.points)
-    weights = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k).filter(any))
+    weights = draw(st.lists(st.integers(0, 6), min_size=len(gens), max_size=len(gens)).filter(any))
     shift = draw(st.tuples(*[st.fractions(min_value=0, max_value=3, max_denominator=7)] * d))
-    return region, point, weights, shift
+    return gens, point, weights, shift
 
 
 @given(regions_with_points())
 @settings(max_examples=200, deadline=None)
 def test_newton_region_member_on_rational_points(case):
-    region, point, weights, shift = case
-    assert region.member(point) == fraction_member(region, point)
+    gens, point, weights, shift = case
+    d = len(gens[0])
+    ineqs = newton_inequalities(gens, d)
+    assert member(ineqs, point) == fraction_member(ineqs, point)
     # a convex combination of generators plus an orthant vector lies inside
     total = sum(weights)
     combo = tuple(
-        sum(Fraction(w * g[i], total) for w, g in zip(weights, region.points)) + shift[i]
-        for i in range(region.dim)
+        sum(Fraction(w * g[i], total) for w, g in zip(weights, gens)) + shift[i]
+        for i in range(d)
     )
-    assert region.member(combo)
-    # a strictly positive normal supports the region at each vertex alone
-    for v in region.vertices:
-        assert not region.member(tuple(x - Fraction(1, 97) for x in v))
+    assert member(ineqs, combo)
+    # every facet is tight at a generator, and its nonzero normal >= 0
+    # leaves that generator minus 1/97 on every axis outside
+    for normal, offset in ineqs:
+        tight = [g for g in gens if sum(n * x for n, x in zip(normal, g)) == offset]
+        assert tight and min(normal) >= 0 < max(normal)
+        for g in tight:
+            assert not member(ineqs, tuple(x - Fraction(1, 97) for x in g))
+    # completeness: a generator that the facets of the others leave out is a
+    # vertex, and the family must cut off that vertex minus 1/97 on every axis
+    for g in gens:
+        others = [h for h in gens if h != g]
+        if not others or not member(newton_inequalities(others, d), g):
+            assert not member(ineqs, tuple(x - Fraction(1, 97) for x in g))
 
 
 def test_covolume_examples():
@@ -507,7 +520,7 @@ def test_integral_closure_examples():
     assert integral_closure(I2((2, 0), (0, 2))).gens == ((0, 2), (1, 1), (2, 0))
     assert integral_closure(maximal_ideal(2)) == maximal_ideal(2)
     closure = integral_closure(I2((3, 0), (0, 3)))
-    assert contains(closure, (2, 1)) and contains(closure, (1, 2))
+    assert closure.contains((2, 1)) and closure.contains((1, 2))
 
 
 def test_integral_closure_idempotent_and_growing():
@@ -521,6 +534,23 @@ def test_integral_closure_idempotent_and_growing():
         assert I.leq(closure)
         assert integral_closure(closure) == closure
         assert newton_region(I) == newton_region(closure)
+
+
+def test_integral_closure_d4_d5():
+    # (x_1^2, ..., x_4^2, x_1 x_2 x_3 x_4) has the Newton polyhedron of m^2
+    squares = [tuple(2 * (i == j) for j in range(4)) for i in range(4)]
+    closure = integral_closure(minimalize([*squares, (1, 1, 1, 1)], 4))
+    assert closure == power(maximal_ideal(4), 2)
+    rng = random.Random(29)
+    for d in (4, 4, 4, 5):
+        gens = [tuple(rng.randint(1, 3) if j == axis else 0 for j in range(d)) for axis in range(d)]
+        gens += [tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(2)]
+        I = minimalize(gens, d)
+        closure = integral_closure(I)
+        assert I.leq(closure)
+        assert integral_closure(closure) == closure
+        assert newton_region(I) == newton_region(closure)
+        assert covolume(newton_region(I)) == covolume(newton_region(closure))
 
 
 def test_integral_closure_non_primary():
