@@ -19,7 +19,6 @@ from .filtrations import (
     DiagonalFiltration,
     Filtration,
     MonomialValuationFiltration,
-    PointwiseProductFiltration,
     PowerFiltration,
     ShiftedPowerFiltration,
     TableFiltration,

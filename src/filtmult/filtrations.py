@@ -369,38 +369,6 @@ class TruncatedFiltration(Filtration):
         return f"truncate({self.base.describe()}, a={self.a})"
 
 
-class PointwiseProductFiltration(Filtration):
-    """The filtration n -> F(n) * G(n) of two filtrations of the same ring.
-
-    Used for the product side of the Minkowski root inequality; it is a bona
-    fide filtration (termwise products of descending multiplicative chains).
-    """
-
-    kind = "pointwise_product"
-
-    def __init__(self, left: Filtration, right: Filtration):
-        if left.dim != right.dim:
-            raise DimensionMismatch("pointwise product needs equal dimensions")
-        super().__init__(left.dim)
-        self.left = left
-        self.right = right
-
-    def _compute(self, n: int) -> MonomialIdeal:
-        return product(self.left.ideal_at(n), self.right.ideal_at(n))
-
-    def _limit_body(self) -> Body:
-        return self.left.limit_body() + self.right.limit_body()
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "factors": [self.left.to_json(), self.right.to_json()],
-        }
-
-    def describe(self) -> str:
-        return f"({self.left.describe()})*({self.right.describe()})"
-
-
 def _in_lower_products(x, k: int, K: list[int], gens: dict) -> bool:
     """True when some g + h with g in gens[j], h in gens[k - j] and j in K
     divides x."""

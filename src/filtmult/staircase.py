@@ -157,6 +157,30 @@ def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def _product_2d(A: tuple[Exponent, ...], B: tuple[Exponent, ...]) -> tuple[Exponent, ...]:
+    """Minimal generators of the d=2 product.
+
+    When both factors are integrally closed the product is read off their
+    Newton polygons: in a 2-dimensional regular local ring a product of
+    integrally closed ideals is integrally closed (Zariski; Huneke-Swanson,
+    *Integral Closure of Ideals, Rings, and Modules*, Thm 14.4.4), and the
+    closure of a monomial ideal is the set of lattice points of its Newton
+    polyhedron, so ``A*B`` is the closure walk over the lower-left chain of
+    ``Newton(A) + Newton(B)``, the slope merge of the two chains.  Every loop
+    of this path is bounded by generators or hull edges: the closedness test
+    runs over the generators of each factor, the merge over the edges of
+    both chains, and the walk emits each generator of ``A*B`` once, which
+    are ``|A| + |B| - 1`` (each edge gives ``min(dx, dy)``, additive over
+    the merge).  It builds no sum.  Every other pair goes to the packed-key
+    kernel ``_key_product``.
+    """
+    P = _closed_chain(A)
+    Q = P if A == B or P is None else _closed_chain(B)
+    if Q is None:
+        return _key_product(A, B)
+    return _closure_walk(_minkowski_chain(P, Q))
+
+
+def _key_product(A: tuple[Exponent, ...], B: tuple[Exponent, ...]) -> tuple[Exponent, ...]:
     """Minimal generators of the d=2 product, swept over packed integer keys.
 
     Gens run x ascending and y strictly descending, so no sum has a y above
@@ -184,6 +208,60 @@ def _product_2d(A: tuple[Exponent, ...], B: tuple[Exponent, ...]) -> tuple[Expon
             kept.append(divmod(k, M))
             best = y
     return tuple(kept)
+
+
+def _closure_walk(chain: list[Exponent]) -> tuple[Exponent, ...]:
+    """Minimal lattice points on or above a d=2 lower-left chain, edge by edge.
+
+    On an edge ``(x0, y0) -> (x1, y1)`` with ``dx = x1 - x0`` and
+    ``dy = y0 - y1``, the lowest lattice point of column x is
+    ``y0 - floor(dy (x - x0) / dx)`` and the leftmost of row ``y0 - k`` is
+    ``x0 + ceil(k dx / dy)``.  When ``dy >= dx`` each column's point is
+    minimal, otherwise each row's, so the edge gives ``min(dx, dy)``
+    generators before its end vertex, and the walk ``1 + sum min(dx, dy)``.
+    """
+    out = []
+    for (x0, y0), (x1, y1) in itertools.pairwise(chain):
+        dx, dy = x1 - x0, y0 - y1
+        if dy >= dx:
+            out.extend((x0 + t, y0 - dy * t // dx) for t in range(dx))
+        else:
+            out.extend((x0 - (-k * dx // dy), y0 - k) for k in range(dy))
+    out.append(chain[-1])
+    return tuple(out)
+
+
+def _closed_chain(gens: tuple[Exponent, ...]) -> list[Exponent] | None:
+    """The lower-left chain of the d=2 antichain ``gens`` when it is
+    integrally closed, that is when the closure walk over that chain gives
+    ``gens`` back; None otherwise.
+
+    Consecutive generators of a closure step by 1 in x or in y, and the walk
+    has ``1 + sum min(dx, dy)`` points; both are checked first, so the walk
+    runs only when its length is ``len(gens)``.
+    """
+    for (xa, ya), (xb, yb) in itertools.pairwise(gens):
+        if xb - xa > 1 and ya - yb > 1:
+            return None
+    chain = geometry._monotone_chain(gens)
+    size = 1 + sum(min(x1 - x0, y0 - y1) for (x0, y0), (x1, y1) in itertools.pairwise(chain))
+    return chain if size == len(gens) and _closure_walk(chain) == gens else None
+
+
+def _minkowski_chain(P: list[Exponent], Q: list[Exponent]) -> list[Exponent]:
+    """The lower-left chain of ``Newton(P) + Newton(Q)`` for two such chains:
+    from ``P[0] + Q[0]``, the edges of both in order of slope, steepest
+    first."""
+    edges = sorted(
+        ((b[0] - a[0], a[1] - b[1]) for C in (P, Q) for a, b in itertools.pairwise(C)),
+        key=lambda e: Fraction(e[0], e[1]),
+    )
+    x, y = P[0][0] + Q[0][0], P[0][1] + Q[0][1]
+    chain = [(x, y)]
+    for dx, dy in edges:
+        x, y = x + dx, y - dy
+        chain.append((x, y))
+    return chain
 
 
 def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -256,14 +334,22 @@ def covolume(region: Body) -> Fraction:
 
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
-    """Monomial integral closure: all lattice points of the Newton region,
-    tested against its facets (``geometry.newton_inequalities``) in any d.
+    """Monomial integral closure: all lattice points of the Newton region
+    (the closure of a monomial ideal is generated by the monomials whose
+    exponents lie in ``conv(gens) + orthant``; Huneke-Swanson, Prop. 1.4.6).
 
-    A bounded search over the staircase box suffices because every minimal
-    generator of the closure is dominated by the per-axis caps of I when I is
-    m-primary; for non-primary ideals the box is padded by the generator
-    support bounds.
+    In d = 2 the closure's minimal generators are the closure walk over the
+    lower-left chain of I: the chain is one pass over the generators, and
+    the walk runs once per hull edge and once per output generator, never
+    over the exponent box.
+    In d >= 3 the points of the staircase box are tested against the facets
+    (``geometry.newton_inequalities``): a bounded search over the box
+    suffices because every minimal generator of the closure is dominated by
+    the per-axis caps of I when I is m-primary; for non-primary ideals the
+    box is padded by the generator support bounds.
     """
+    if I.dim == 2:
+        return MonomialIdeal(2, _closure_walk(geometry._monotone_chain(I.gens)))
     if I.is_unit:
         return I
     ineqs = geometry.newton_inequalities(list(I.gens), I.dim)

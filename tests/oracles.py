@@ -45,6 +45,26 @@ def finite_difference_oracle(I: MonomialIdeal) -> int:
     return values[-1]
 
 
+class PointwiseProductFiltration(Filtration):
+    """The filtration n -> F(n) * G(n) of two filtrations of the same ring,
+    whose limit body is the sum of the factors' bodies."""
+
+    kind = "pointwise_product"
+
+    def __init__(self, left: Filtration, right: Filtration):
+        if left.dim != right.dim:
+            raise DimensionMismatch("pointwise product needs equal dimensions")
+        super().__init__(left.dim)
+        self.left = left
+        self.right = right
+
+    def _compute(self, n: int) -> MonomialIdeal:
+        return product(self.left.ideal_at(n), self.right.ideal_at(n))
+
+    def _limit_body(self):
+        return self.left.limit_body() + self.right.limit_body()
+
+
 def old_construction_error(dim: int, gens) -> tuple[type, str] | None:
     """The error ``MonomialIdeal(dim, gens)`` raised while every dimension
     tested the antichain with ``minimal_elements``; None when it built."""

@@ -503,6 +503,40 @@ def test_numeric_power_family_report_bytes_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of reports recorded while every d=2 product still went through the
+# packed-key kernel and d=2 integral closures through the box scan.
+# (y^3, xy, x^3) is integrally closed, (x^2, y^2) is not.
+CLOSED_FACTOR_PINS = {
+    "multiplicity-numeric-closed": (
+        "multiplicity",
+        {"filtration": _power([[0, 3], [1, 1], [3, 0]]), "strategy": {"kind": "numeric", "m_max": 64}},
+        "078ecff604b9362bf71913e3882727e101c3a13cd02e3d563489be8683665d3c",
+    ),
+    "mixed-numeric-closed-and-not": (
+        "mixed",
+        {
+            "filtrations": [_power([[0, 3], [1, 1], [3, 0]]), _power([[2, 0], [0, 2]])],
+            "strategy": {"kind": "numeric", "m_max": 16},
+        },
+        "bcf5af9a94e7871f5bf08b5c762f74153694dec244f17e0fccc52e8a2a01577e",
+    ),
+    "integrality-large-box": (
+        "integrality",
+        {"ideal": {"dim": 2, "gens": [[300, 0], [0, 307], [100, 150]]}},
+        "c71cab01c2d792943fec683ae7e00dad87d57d424fe6542a6307ccafccfc0253",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FACTOR_PINS))
+def test_closed_factor_report_bytes_pinned(tmp_path, capsys, name):
+    task, spec, digest = CLOSED_FACTOR_PINS[name]
+    code, out = run_cli(capsys, [task, "--input", write(tmp_path, "p.json", spec)])
+    assert code == 0
+    check_report(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "strategy",
     [

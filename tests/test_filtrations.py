@@ -12,7 +12,6 @@ from filtmult.filtrations import (
     CeilingNormMultiFiltration,
     DiagonalFiltration,
     MonomialValuationFiltration,
-    PointwiseProductFiltration,
     PowerFiltration,
     ShiftedPowerFiltration,
     TableFiltration,
@@ -26,7 +25,7 @@ from filtmult.multiplicity import fit_quasi_polynomial, limit_normalized_colengt
 from filtmult.quadratic import SQRT2, QuadraticIrrational
 from filtmult.staircase import maximal_ideal, minimalize, power, product, unit_ideal
 
-from oracles import compare_fraction, minkowski_covolume, minkowski_points
+from oracles import PointwiseProductFiltration, compare_fraction, minkowski_covolume, minkowski_points
 
 
 def I2(*gens):

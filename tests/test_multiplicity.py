@@ -12,7 +12,6 @@ from filtmult import cli, geometry, linalg, multiplicity
 from filtmult.filtrations import (
     DiagonalFiltration,
     MonomialValuationFiltration,
-    PointwiseProductFiltration,
     PowerFiltration,
     ShiftedPowerFiltration,
     TableFiltration,
@@ -36,7 +35,7 @@ from filtmult.quadratic import SQRT2, QuadraticIrrational
 from filtmult.staircase import colength, maximal_ideal, minimalize, power, product
 from filtmult.verifier import random_m_primary_ideal
 
-from oracles import finite_difference_oracle, generic_numeric_limit, solved_table
+from oracles import PointwiseProductFiltration, finite_difference_oracle, generic_numeric_limit, solved_table
 
 
 def I2(*gens):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filtmult import staircase
@@ -223,11 +223,48 @@ BIG = 2**70
 big_coord = st.one_of(st.integers(0, 6), st.integers(0, BIG), st.sampled_from([BIG, BIG - 1]))
 
 
+def box_scan_closure_2d(I):
+    """The lattice points of the Newton region of I in the box of its largest
+    exponents, tested against its facets, reduced to minimal elements."""
+    ineqs = newton_inequalities(list(I.gens), 2)
+    box = itertools.product(*(range(max(g[i] for g in I.gens) + 1) for i in range(2)))
+    return minimalize([p for p in box if satisfies_inequalities(p, ineqs)], 2)
+
+
+@st.composite
+def small_ideals_2d(draw):
+    """d=2 ideals with exponents below 10, m-primary or not."""
+    coord = st.integers(0, 9)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    if draw(st.booleans()):  # close the staircase on both axes
+        pts += [(draw(coord), 0), (0, draw(coord))]
+    return I2(*pts)
+
+
+@st.composite
+def closed_ideals_2d(draw):
+    """Integrally closed d=2 ideals: box-scan closures of small staircases,
+    m-primary or not, the unit ideal, single generators up to 2**70, and
+    powers of the maximal ideal."""
+    shape = draw(st.sampled_from(["closure", "unit", "single", "maximal_power"]))
+    if shape == "unit":
+        return unit_ideal(2)
+    if shape == "single":
+        return I2(draw(st.tuples(big_coord, big_coord)))
+    if shape == "maximal_power":
+        k = draw(st.integers(1, 12))
+        return I2(*[(i, k - i) for i in range(k + 1)])
+    return box_scan_closure_2d(draw(small_ideals_2d()))
+
+
 @st.composite
 def ideals_2d(draw):
     """d=2 ideals: unit, single generators, m-primary or not, small or huge
-    exponents, and small staircases scaled past 64 bits."""
-    shape = draw(st.sampled_from(["unit", "single", "small", "big", "scaled"]))
+    exponents, small staircases scaled past 64 bits, and integrally closed
+    ideals."""
+    shape = draw(st.sampled_from(["unit", "single", "small", "big", "scaled", "closed"]))
+    if shape == "closed":
+        return draw(closed_ideals_2d())
     if shape == "unit":
         return unit_ideal(2)
     if shape == "single":
@@ -242,7 +279,12 @@ def ideals_2d(draw):
     return I2(*pts)
 
 
+BIG_SQUARES = I2((BIG, 0), (0, BIG))
+
+
 @given(ideals_2d(), ideals_2d(), st.booleans())
+@example(BIG_SQUARES, BIG_SQUARES, True)
+@example(BIG_SQUARES, maximal_ideal(2), False)
 @settings(max_examples=500, deadline=None)
 def test_product_2d_matches_bruteforce(I, J, square):
     J = I if square else J
@@ -257,6 +299,44 @@ def test_power_2d_matches_iterated_bruteforce(I, k):
     for _ in range(k):
         expected = MonomialIdeal(2, brute_product(expected, I))
     assert power(I, k) == expected
+
+
+@given(closed_ideals_2d(), closed_ideals_2d(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_closed_products_match_bruteforce(I, J, square):
+    J = I if square else J
+    assert product(I, J).gens == brute_product(I, J)
+    assert product(J, I) == product(I, J)
+
+
+@given(st.one_of(closed_ideals_2d(), small_ideals_2d()))
+@settings(max_examples=100, deadline=None)
+def test_closedness_test_matches_integral_closure(I):
+    assert (staircase._closed_chain(I.gens) is not None) == (integral_closure(I) == I)
+
+
+@given(small_ideals_2d())
+@settings(max_examples=100, deadline=None)
+def test_integral_closure_2d_matches_box_scan(I):
+    assert integral_closure(I) == box_scan_closure_2d(I)
+
+
+def test_closed_factors_skip_the_key_kernel(monkeypatch):
+    calls = []
+    key_product = staircase._key_product
+
+    def spy(A, B):
+        calls.append((A, B))
+        return key_product(A, B)
+
+    monkeypatch.setattr(staircase, "_key_product", spy)
+    closed = I2((0, 3), (1, 1), (3, 0))
+    assert product(closed, closed).gens == brute_product(closed, closed)
+    assert product(closed, maximal_ideal(2)).gens == brute_product(closed, maximal_ideal(2))
+    assert calls == []
+    squares = I2((2, 0), (0, 2))
+    assert product(squares, squares).gens == ((0, 4), (2, 2), (4, 0))
+    assert calls == [(squares.gens, squares.gens)]
 
 
 def old_pure_power(gens, dim, axis):
